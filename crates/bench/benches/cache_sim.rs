@@ -7,7 +7,8 @@
 //! seed's per-probe dynamic-dispatch path, so the end-to-end speedup of
 //! the overhaul is measured rather than asserted. `cache_replay` runs
 //! the batched `run_refs` API over a pre-materialised trace — the form
-//! the experiment drivers use.
+//! the experiment drivers use. `stack_distance` times the one-pass LRU
+//! stack sweep on shallow, deep and stride-collapsed stacks.
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
@@ -327,12 +328,56 @@ fn bench_multi_model_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The one-pass LRU stack-distance engine behind `lru-curve` and the
+/// analytic screen, over three stack shapes: many-set modulo families
+/// whose per-set stacks stay shallow, the 1-set (fully-associative)
+/// family whose stack grows to the footprint, and a 256-set family that
+/// a power-of-two stride folds onto a single deep set.
+fn bench_stack_distance(c: &mut Criterion) {
+    use cac_sim::sweep::LruStackSweep;
+    use cac_trace::kernels::mem_refs;
+    use cac_trace::spec::SpecBenchmark;
+
+    // gcc: 75k refs over ~2 900 blocks, reused up to ~1 500 deep.
+    let gcc: Vec<MemRef> = mem_refs(SpecBenchmark::Gcc.generator(7).take(150_000)).collect();
+    // One column of 1 024 blocks 8KB apart, swept forward and back.
+    let column: Vec<MemRef> = (0..1024u64)
+        .chain((0..1024).rev())
+        .cycle()
+        .take(64 * 1024)
+        .map(|i| MemRef {
+            pc: 0x1000,
+            addr: i * 8192,
+            is_write: false,
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("stack_distance");
+    let cases: [(&str, &[u32], &[MemRef]); 3] = [
+        ("shallow_64_128_256_sets", &[64, 128, 256], &gcc),
+        ("deep_1_set", &[1], &gcc),
+        ("stride_collapsed_256_sets", &[256], &column),
+    ];
+    for (name, sets, refs) in cases {
+        group.throughput(Throughput::Elements(refs.len() as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sweep = LruStackSweep::new(32, sets).unwrap();
+                sweep.run_refs(refs);
+                black_box(sweep.misses(sets[0], 1))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache,
     bench_fully_assoc,
     bench_probe_kernels,
     bench_trace_streaming,
-    bench_multi_model_sweep
+    bench_multi_model_sweep,
+    bench_stack_distance
 );
 criterion_main!(benches);

@@ -53,7 +53,7 @@ pub const REGISTRY: &[Experiment] = &[
         name: "table2",
         legacy_bin: Some("table2_ipc"),
         group: "paper figures & tables",
-        summary: "Table 2: IPC and load miss ratio, 18 workloads x 7 configurations",
+        summary: "Table 2: IPC and load miss ratio, 18 workloads x 6 configurations",
         params: &[param("ops", "200000", "instructions per configuration")],
         run: tables::table2,
     },

@@ -3,7 +3,7 @@
 //!
 //! Table 1 is a configuration sanity harness; Tables 2 and 3 run the 18
 //! SPEC95 workload models through the out-of-order processor under the
-//! seven measured configurations (16KB/8KB conventional with and
+//! six measured configurations (16KB/8KB conventional with and
 //! without address prediction, skewed I-Poly with the XOR on and off
 //! the critical path) and report IPC plus load miss ratio, next to the
 //! paper's published rows.

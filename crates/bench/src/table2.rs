@@ -1,5 +1,5 @@
 //! Shared runner for the paper's Tables 2 and 3: IPC and load miss ratio
-//! for every benchmark under the seven measured configurations.
+//! for every benchmark under the six measured configurations.
 
 use cac_core::IndexSpec;
 use cac_cpu::{CpuConfig, Processor};
@@ -46,10 +46,10 @@ fn run_one(trace: &[TraceOp], config: CpuConfig, ops: u64) -> (f64, f64) {
 /// trace (`cac options` uses it too).
 pub const TRACE_SLACK: usize = 4096;
 
-/// Runs all seven configurations of the paper's Table 2 for one
+/// Runs all six configurations of the paper's Table 2 for one
 /// benchmark, simulating `ops` instructions per configuration. The
 /// benchmark's instruction stream is generated ONCE and shared by all
-/// seven (the configurations differ only on the processor side).
+/// six (the configurations differ only on the processor side).
 pub fn run_benchmark(b: SpecBenchmark, ops: u64, seed: u64) -> Table2Row {
     let trace: Vec<TraceOp> = b.generator(seed).take(ops as usize + TRACE_SLACK).collect();
     let conv16 = run_one(

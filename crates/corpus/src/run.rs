@@ -69,6 +69,7 @@ use crate::manifest::QuarantineEntry;
 use crate::store::Corpus;
 use crate::supervisor::{classify, CellBudget, ChaosPlan, RetryPolicy};
 use crate::{content_hash, CorpusError};
+use cac_core::CacheGeometry;
 use cac_sim::analytic::{prune_dominated, AnalyticModel};
 use cac_sim::config::SimConfig;
 use cac_sim::journal::{fingerprint, Journal};
@@ -452,15 +453,69 @@ struct AttemptResult {
     screened: bool,
 }
 
+/// Prices `members` through the analytic tier from one trace.
+///
+/// Configs are grouped by primary line size; each group shares one LRU
+/// stack pass over the trace, sampled 1-in-K with K the largest power
+/// of two within both `max_sampling` and the group's smallest set count
+/// (so every config keeps sampled sets). Modulo-indexed configs use the
+/// stack sweep's exact set-conflict ratio; hashed/skewed indexes use the
+/// analytic conflict model (hashing decorrelates sets from address
+/// bits, which is precisely that model's assumption).
+///
+/// Returns `(config, estimate, standard error)` for every member with a
+/// primary cache, in line-size order; the standard error is 0 for an
+/// unsampled pass. Members without a primary cache are left out.
+fn analytic_pass(
+    trace_path: &Path,
+    configs: &[ConfigColumn],
+    members: impl IntoIterator<Item = usize>,
+    max_sampling: u32,
+    fault: Option<&FaultSpec>,
+    skipped: &mut SkipReport,
+) -> Result<Vec<(usize, Option<f64>, f64)>, CorpusError> {
+    let mut by_line: BTreeMap<u64, Vec<(usize, CacheGeometry)>> = BTreeMap::new();
+    for j in members {
+        if let Some(geom) = configs[j].cfg.primary_geometry() {
+            by_line.entry(geom.block()).or_default().push((j, geom));
+        }
+    }
+    let mut priced = Vec::new();
+    for (line, group) in &by_line {
+        let mut set_counts: Vec<u32> = vec![1];
+        let mut min_sets = u32::MAX;
+        for (_, geom) in group {
+            min_sets = min_sets.min(geom.num_sets());
+            if !set_counts.contains(&geom.num_sets()) {
+                set_counts.push(geom.num_sets());
+            }
+        }
+        let k = 1u32 << min_sets.min(max_sampling).ilog2();
+        let mut stack = LruStackSweep::new(*line, &set_counts)?.with_set_sampling(k)?;
+        let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
+        stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
+        merge_skips(skipped, reader.skipped());
+        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
+        let se = stack.sampling_standard_error().unwrap_or(0.0);
+        for &(j, geom) in group {
+            let modulo = configs[j]
+                .cfg
+                .primary_index()
+                .is_some_and(|s| s.name() == "modulo");
+            let estimate = if modulo {
+                stack.miss_ratio(geom.num_sets(), geom.ways())
+            } else {
+                model.predict(geom.num_sets(), geom.ways())
+            };
+            priced.push((j, estimate, se));
+        }
+    }
+    Ok(priced)
+}
+
 /// Runs the analytic screen for one trace: predicted miss ratio per
 /// config (`None` where the config has no primary cache to predict
 /// for), then the dominated-config mask.
-///
-/// Configs are grouped by primary line size; each group shares one LRU
-/// stack pass over the trace. Modulo-indexed configs use the stack
-/// sweep's exact set-conflict ratio; hashed/skewed indexes use the
-/// analytic conflict model (hashing decorrelates sets from address
-/// bits, which is precisely that model's assumption).
 fn screen_trace(
     trace_path: &Path,
     configs: &[ConfigColumn],
@@ -469,41 +524,8 @@ fn screen_trace(
     skipped: &mut SkipReport,
 ) -> Result<(Vec<Option<f64>>, Vec<bool>), CorpusError> {
     let mut predicted: Vec<Option<f64>> = vec![None; configs.len()];
-    let mut by_line: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (j, c) in configs.iter().enumerate() {
-        if let Some(geom) = c.cfg.primary_geometry() {
-            by_line.entry(geom.block()).or_default().push(j);
-        }
-    }
-    for (line, members) in &by_line {
-        let mut set_counts: Vec<u32> = vec![1];
-        for &j in members {
-            let sets = configs[j]
-                .cfg
-                .primary_geometry()
-                .expect("grouped by primary geometry")
-                .num_sets();
-            if !set_counts.contains(&sets) {
-                set_counts.push(sets);
-            }
-        }
-        let mut stack = LruStackSweep::new(*line, &set_counts)?;
-        let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
-        stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
-        merge_skips(skipped, reader.skipped());
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-        for &j in members {
-            let geom = configs[j].cfg.primary_geometry().expect("grouped");
-            let modulo = configs[j]
-                .cfg
-                .primary_index()
-                .is_some_and(|s| s.name() == "modulo");
-            predicted[j] = if modulo {
-                stack.miss_ratio(geom.num_sets(), geom.ways())
-            } else {
-                model.predict(geom.num_sets(), geom.ways())
-            };
-        }
+    for (j, p, _) in analytic_pass(trace_path, configs, 0..configs.len(), 1, fault, skipped)? {
+        predicted[j] = p;
     }
     // Dominance is judged over the predictable subset only; configs the
     // screen cannot model are always kept.
@@ -521,8 +543,8 @@ fn screen_trace(
 }
 
 /// Re-prices budget-cancelled configs through the analytic tier with
-/// 1-in-K set sampling: one sampled stack pass per line-size group,
-/// shared by every cancelled config of that group.
+/// 1-in-K set sampling (K up to 8: plenty of speedup for an estimate
+/// that carries its own standard error).
 fn degrade_cells(
     trace_path: &Path,
     configs: &[ConfigColumn],
@@ -531,65 +553,36 @@ fn degrade_cells(
     skipped: &mut SkipReport,
     out: &mut Vec<(usize, PendingOutcome)>,
 ) -> Result<(), CorpusError> {
-    let mut by_line: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for &j in cancelled {
-        match configs[j].cfg.primary_geometry() {
-            Some(geom) => by_line.entry(geom.block()).or_default().push(j),
-            None => out.push((
+        if configs[j].cfg.primary_geometry().is_none() {
+            out.push((
                 j,
                 PendingOutcome::Failed {
                     reason: "over budget and no primary cache to estimate for".into(),
                     class: FailureClass::Permanent,
                 },
-            )),
-        }
-    }
-    for (line, members) in &by_line {
-        let mut set_counts: Vec<u32> = vec![1];
-        let mut min_sets = u32::MAX;
-        for &j in members {
-            let sets = configs[j]
-                .cfg
-                .primary_geometry()
-                .expect("grouped by primary geometry")
-                .num_sets();
-            min_sets = min_sets.min(sets);
-            if !set_counts.contains(&sets) {
-                set_counts.push(sets);
-            }
-        }
-        // 1-in-K sampling, K capped by the smallest member so every
-        // config keeps sampled sets; 8 is plenty of speedup for an
-        // estimate that carries its own standard error.
-        let k = 1u32 << min_sets.min(8).ilog2();
-        let mut stack = LruStackSweep::new(*line, &set_counts)?.with_set_sampling(k)?;
-        let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
-        stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
-        merge_skips(skipped, reader.skipped());
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-        let se = stack.sampling_standard_error().unwrap_or(0.0);
-        for &j in members {
-            let geom = configs[j].cfg.primary_geometry().expect("grouped");
-            let modulo = configs[j]
-                .cfg
-                .primary_index()
-                .is_some_and(|s| s.name() == "modulo");
-            let estimate = if modulo {
-                stack.miss_ratio(geom.num_sets(), geom.ways())
-            } else {
-                model.predict(geom.num_sets(), geom.ways())
-            };
-            out.push((
-                j,
-                match estimate {
-                    Some(estimate) => PendingOutcome::Degraded { estimate, se },
-                    None => PendingOutcome::Failed {
-                        reason: "over budget and not analytically priceable".into(),
-                        class: FailureClass::Permanent,
-                    },
-                },
             ));
         }
+    }
+    let priced = analytic_pass(
+        trace_path,
+        configs,
+        cancelled.iter().copied(),
+        8,
+        fault,
+        skipped,
+    )?;
+    for (j, estimate, se) in priced {
+        out.push((
+            j,
+            match estimate {
+                Some(estimate) => PendingOutcome::Degraded { estimate, se },
+                None => PendingOutcome::Failed {
+                    reason: "over budget and not analytically priceable".into(),
+                    class: FailureClass::Permanent,
+                },
+            },
+        ));
     }
     Ok(())
 }

@@ -9,6 +9,8 @@
 //! the batched `run_refs` API over a pre-materialised trace — the form
 //! the experiment drivers use. `stack_distance` times the one-pass LRU
 //! stack sweep on shallow, deep and stride-collapsed stacks.
+//! `sidecar_orgs` replays the victim, stream-buffer, Jouppi and
+//! three-level sidecar configs.
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
@@ -371,6 +373,28 @@ fn bench_stack_distance(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Jouppi organizations (`[victim]`, `[stream]`, `[jouppi]`, each a
+/// one-level `stack::Hierarchy` with sidecars) and the three-level
+/// sidecar stack, built from the shipped configs and replayed over one
+/// tomcatv trace, as `cac run --config` drives them.
+fn bench_sidecar_orgs(c: &mut Criterion) {
+    use cac_sim::SimConfig;
+    use cac_trace::kernels::mem_refs;
+    use cac_trace::spec::SpecBenchmark;
+
+    let refs: Vec<MemRef> = mem_refs(SpecBenchmark::Tomcatv.generator(7).take(300_000)).collect();
+    let mut group = c.benchmark_group("sidecar_orgs");
+    group.throughput(Throughput::Elements(refs.len() as u64));
+    for name in ["victim", "stream_buffers", "jouppi", "three_level_sidecars"] {
+        let path = format!("{}/../../examples/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let cfg = SimConfig::load(&path).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(cfg.build().unwrap().run_refs(&refs)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache,
@@ -378,6 +402,7 @@ criterion_group!(
     bench_probe_kernels,
     bench_trace_streaming,
     bench_multi_model_sweep,
-    bench_stack_distance
+    bench_stack_distance,
+    bench_sidecar_orgs
 );
 criterion_main!(benches);

@@ -17,9 +17,17 @@
 //! | `[cache]`     | [`crate::cache::Cache`] (any placement/policy) |
 //! | `[hierarchy]` + `[[level]]` | generic [`crate::stack::Hierarchy`], or the §3 [`crate::hierarchy::TwoLevelHierarchy`] with `virtual-real = true` |
 //! | `[column]`    | [`crate::column::ColumnAssociative`] |
-//! | `[victim]`    | [`crate::victim::VictimCache`] |
-//! | `[stream]`    | [`crate::stream::StreamBufferCache`] |
-//! | `[jouppi]`    | [`crate::jouppi::JouppiCache`] |
+//! | `[victim]`    | one-level [`crate::stack::Hierarchy`] with a victim buffer |
+//! | `[stream]`    | one-level [`crate::stack::Hierarchy`] with stream buffers |
+//! | `[jouppi]`    | one-level [`crate::stack::Hierarchy`] with both |
+//!
+//! The last three are sugar for Jouppi's organizations (reference
+//! \[13\], the paper's §2.1 comparison): a modulo-indexed level (the
+//! `[stream]` section takes any `index`) with the named sidecars,
+//! evaluated by loads only. Stores pass through as
+//! [`ServicePoint::Bypass`](crate::model::ServicePoint::Bypass) and are
+//! counted as `stores-bypassed`; the report keeps the section's own
+//! component name (`victim`, `stream`, `jouppi`) and extras.
 //!
 //! Shipped examples for every organization in the paper's comparison
 //! matrix live under `examples/*.toml`; `cac config validate` keeps
@@ -30,12 +38,9 @@ pub mod toml;
 use crate::cache::{Cache, WritePolicy};
 use crate::column::{ColumnAssociative, RehashKind};
 use crate::hierarchy::TwoLevelHierarchy;
-use crate::jouppi::JouppiCache;
 use crate::model::MemoryModel;
 use crate::replacement::ReplacementPolicy;
-use crate::stack::{Hierarchy, LevelBuilder};
-use crate::stream::StreamBufferCache;
-use crate::victim::VictimCache;
+use crate::stack::{Hierarchy, JouppiPart, LevelBuilder, LoadsOnly};
 use crate::vm::PageMapper;
 use cac_core::{parse_size, CacheGeometry, Error, IndexSpec};
 use toml::{Table, Value};
@@ -326,18 +331,21 @@ impl SimConfig {
             ModelConfig::Column(c) => Ok(Box::new(ColumnAssociative::with_rehash(
                 c.geometry, c.rehash,
             )?)),
-            ModelConfig::Victim(v) => Ok(Box::new(VictimCache::new(v.geometry, v.victim_lines)?)),
-            ModelConfig::Stream(s) => Ok(Box::new(StreamBufferCache::with_spec(
-                s.geometry,
-                s.index.clone(),
-                s.buffers,
-                s.depth,
+            ModelConfig::Victim(v) => Ok(Box::new(LoadsOnly::new(
+                JouppiPart::Victim,
+                LevelBuilder::new(v.geometry).victim_buffer(v.victim_lines),
             )?)),
-            ModelConfig::Jouppi(j) => Ok(Box::new(JouppiCache::new(
-                j.geometry,
-                j.victim_lines,
-                j.stream_buffers,
-                j.stream_depth,
+            ModelConfig::Stream(s) => Ok(Box::new(LoadsOnly::new(
+                JouppiPart::Stream,
+                LevelBuilder::new(s.geometry)
+                    .index_spec(s.index.clone())
+                    .stream_buffers(s.buffers, s.depth),
+            )?)),
+            ModelConfig::Jouppi(j) => Ok(Box::new(LoadsOnly::new(
+                JouppiPart::Both,
+                LevelBuilder::new(j.geometry)
+                    .victim_buffer(j.victim_lines)
+                    .stream_buffers(j.stream_buffers, j.stream_depth),
             )?)),
             ModelConfig::Poison(p) => Ok(Box::new(crate::model::PoisonModel::new(p.after))),
         }
@@ -973,6 +981,31 @@ mod tests {
                 "Inclusion",
             ),
             ("[cache]\nsize = \"8KiB\"\n[stray]\nx = 1\n", "unknown"),
+            // Zero-sized buffers, in the order the organization checks them.
+            (
+                "[victim]\nsize = \"8KiB\"\nvictim-lines = 0\n",
+                "victim buffer lines out of range: 0 (must be >= 1)",
+            ),
+            (
+                "[stream]\nsize = \"8KiB\"\nbuffers = 0\n",
+                "stream buffers out of range: 0 (must be >= 1)",
+            ),
+            (
+                "[stream]\nsize = \"8KiB\"\ndepth = 0\n",
+                "stream buffer depth out of range: 0 (must be >= 1)",
+            ),
+            (
+                "[jouppi]\nsize = \"8KiB\"\nvictim-lines = 0\nstream-buffers = 0\n",
+                "victim buffer lines out of range",
+            ),
+            (
+                "[jouppi]\nsize = \"8KiB\"\nstream-buffers = 0\nstream-depth = 0\n",
+                "stream buffers out of range",
+            ),
+            (
+                "[jouppi]\nsize = \"8KiB\"\nstream-depth = 0\n",
+                "stream buffer depth out of range",
+            ),
         ] {
             let err = SimConfig::from_toml_str(src)
                 .and_then(|c| c.build().map(|_| ()))

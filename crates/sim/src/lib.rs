@@ -9,14 +9,6 @@
 //! * [`classify::ThreeCClassifier`] — compulsory/capacity/conflict miss
 //!   classification against an infinite cache and a fully-associative LRU
 //!   cache of equal capacity.
-//! * [`victim::VictimCache`] — direct-mapped cache plus small
-//!   fully-associative victim buffer (Jouppi), one of the organizations
-//!   the paper's related work compares against.
-//! * [`stream::StreamBufferCache`] — the prefetch half of the same
-//!   proposal: sequential stream buffers, which rescue streaming misses
-//!   but not the conflict misses I-Poly placement removes.
-//! * [`jouppi::JouppiCache`] — both halves composed (cache → victim →
-//!   stream buffers → memory), the complete reference-\[13\] design.
 //! * [`column::ColumnAssociative`] — the §3.1 option-4 design: first probe
 //!   with the conventional index, second probe with the polynomial hash,
 //!   with line swapping ("pseudo-full associativity in what is effectively
@@ -39,7 +31,14 @@
 //!   the paper models analytically.
 //! * [`stack::Hierarchy`] — the generic N-level stack the virtual-real
 //!   design specializes, with victim/stream/MSHR structures attachable
-//!   to any level as sidecars.
+//!   to any level as sidecars. Jouppi's organizations (reference
+//!   \[13\], which the paper's related work compares against) are
+//!   config sugar over it: `[victim]` is a modulo-indexed level with a
+//!   small fully-associative victim buffer, `[stream]` a level with
+//!   sequential stream buffers (they rescue streaming misses but not
+//!   the conflict misses I-Poly placement removes), and `[jouppi]`
+//!   both (cache → victim → stream buffers → memory), each evaluated
+//!   by loads only.
 //!
 //! # One model API
 //!
@@ -119,7 +118,6 @@ pub mod coherence;
 pub mod column;
 pub mod config;
 pub mod hierarchy;
-pub mod jouppi;
 pub mod journal;
 pub mod model;
 pub mod mshr;
@@ -128,10 +126,8 @@ pub mod replacement;
 pub mod replay;
 pub mod stack;
 pub mod stats;
-pub mod stream;
 pub mod sweep;
 pub mod tlb;
-pub mod victim;
 pub mod vm;
 
 pub use analytic::{AnalyticModel, StackHistogram};

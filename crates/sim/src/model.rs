@@ -230,9 +230,9 @@ impl fmt::Display for ModelStats {
 /// One memory model: anything a reference stream can be replayed
 /// against. Implemented by [`crate::cache::Cache`],
 /// [`crate::hierarchy::TwoLevelHierarchy`], the generic
-/// [`crate::stack::Hierarchy`], [`crate::column::ColumnAssociative`],
-/// [`crate::jouppi::JouppiCache`], [`crate::victim::VictimCache`] and
-/// [`crate::stream::StreamBufferCache`].
+/// [`crate::stack::Hierarchy`] (and the `[victim]`, `[stream]` and
+/// `[jouppi]` organizations built on it) and
+/// [`crate::column::ColumnAssociative`].
 ///
 /// `Send` is a supertrait so a `Box<dyn MemoryModel>` can be handed to
 /// a worker thread of the multi-configuration sweep engine

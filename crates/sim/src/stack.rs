@@ -33,8 +33,10 @@
 //! With two levels, default policies and no sidecars, the stack
 //! reproduces the [`TwoLevelHierarchy`] counters exactly under an
 //! identity page mapping (`crates/sim/tests/stack_equivalence.rs`
-//! holds the guard); with one level plus victim and stream sidecars it
-//! reproduces [`crate::jouppi::JouppiCache`].
+//! holds the guard). With one level plus victim and/or stream sidecars
+//! it is the `[victim]`, `[stream]` and `[jouppi]` organization of
+//! [`crate::config`], pinned by golden files recorded from the
+//! concrete types those sections once built.
 //!
 //! [`TwoLevelHierarchy`]: crate::hierarchy::TwoLevelHierarchy
 //!
@@ -186,6 +188,7 @@ impl LevelBuilder {
                 heads: Vec::with_capacity(buffers),
                 capacity: buffers,
                 depth,
+                flushed_unused: 0,
             }),
             mshr: self.mshrs.map(MshrFile::new),
             miss_penalty: self.miss_penalty,
@@ -213,11 +216,14 @@ struct StreamSet {
     heads: Vec<u64>,
     capacity: usize,
     depth: usize,
+    /// Prefetched blocks discarded unused when a stream is reallocated.
+    flushed_unused: u64,
 }
 
 impl StreamSet {
     /// Head-only probe: a hit pops the head, tops the FIFO back up and
     /// refreshes the LRU stamp.
+    #[inline]
     fn take_head(&mut self, block: u64, clock: u64) -> bool {
         let Some(bi) = self.heads.iter().position(|&h| h == block) else {
             return false;
@@ -256,6 +262,7 @@ impl StreamSet {
                 .min_by_key(|(_, b)| b.last_used)
                 .map(|(i, _)| i)
                 .expect("at least one buffer");
+            self.flushed_unused += self.buffers[lru].fifo.len() as u64;
             self.buffers[lru] = fresh;
             self.heads[lru] = head;
         }
@@ -349,8 +356,8 @@ impl HierarchyBuilder {
                 .map(LevelBuilder::build)
                 .collect::<Result<_, _>>()?,
             inclusion: self.inclusion,
-            clock: 0,
-            demand: CacheStats::default(),
+            read_misses: 0,
+            write_misses: 0,
             inclusion_invalidations: 0,
             holes_created: 0,
         })
@@ -363,8 +370,11 @@ impl HierarchyBuilder {
 pub struct Hierarchy {
     levels: Vec<Level>,
     inclusion: bool,
-    clock: u64,
-    demand: CacheStats,
+    /// Demand reads and writes that reached memory. The rest of the
+    /// demand counters come from level 0, which every access probes
+    /// exactly once.
+    read_misses: u64,
+    write_misses: u64,
     inclusion_invalidations: u64,
     holes_created: u64,
 }
@@ -391,7 +401,18 @@ impl Hierarchy {
 
     /// The demand stream's counters (hit = serviced before memory).
     pub fn demand_stats(&self) -> CacheStats {
-        self.demand
+        let l1 = self.levels[0].cache.stats();
+        let misses = self.read_misses + self.write_misses;
+        CacheStats {
+            accesses: l1.accesses,
+            hits: l1.accesses - misses,
+            misses,
+            reads: l1.reads,
+            writes: l1.writes,
+            read_misses: self.read_misses,
+            write_misses: self.write_misses,
+            ..CacheStats::default()
+        }
     }
 
     /// Upper-level lines invalidated to preserve Inclusion.
@@ -415,6 +436,7 @@ impl Hierarchy {
             if let Some(s) = &mut level.streams {
                 s.buffers.clear();
                 s.heads.clear();
+                s.flushed_unused = 0;
             }
             if let Some(m) = &mut level.mshr {
                 m.reset();
@@ -422,8 +444,8 @@ impl Hierarchy {
             level.victim_hits = 0;
             level.stream_hits = 0;
         }
-        self.clock = 0;
-        self.demand = CacheStats::default();
+        self.read_misses = 0;
+        self.write_misses = 0;
         self.inclusion_invalidations = 0;
         self.holes_created = 0;
     }
@@ -444,36 +466,24 @@ impl Hierarchy {
         }
     }
 
-    /// Routes a cache eviction at level `i`: into the level's victim
-    /// buffer when attached. Returns the block that left the level
-    /// entirely, if any.
-    fn route_eviction(&mut self, i: usize, evicted: Option<u64>) -> Option<u64> {
-        let block = evicted?;
-        match &mut self.levels[i].victim {
-            Some(v) => v.push(block),
-            None => Some(block),
-        }
-    }
-
-    /// Handles an eviction at level `i` including the Inclusion
-    /// invalidation of the levels above it. Returns the block that left
-    /// the level entirely, if any — for the last (memory-side) level
-    /// that means the block left the whole organization.
-    fn settle_eviction(&mut self, i: usize, evicted: Option<u64>) -> Option<u64> {
-        let out = self.route_eviction(i, evicted);
+    /// Routes a line level `i` evicted: into the level's victim buffer
+    /// when one is attached. A block that leaves the level entirely is
+    /// invalidated in the levels above (Inclusion) and, at the last
+    /// (memory-side) level, recorded in `left_org` as having left the
+    /// whole organization.
+    #[inline]
+    fn route_eviction(&mut self, i: usize, evicted: u64, left_org: &mut Option<u64>) {
+        let out = match &mut self.levels[i].victim {
+            Some(v) => v.push(evicted),
+            None => Some(evicted),
+        };
         if let Some(block) = out {
             if self.inclusion && i > 0 {
                 self.invalidate_above(i, block);
             }
-        }
-        out
-    }
-
-    /// Records a last-level departure in the outcome's eviction slot.
-    fn note_departure(&mut self, i: usize, evicted: Option<u64>, left_org: &mut Option<u64>) {
-        let out = self.settle_eviction(i, evicted);
-        if i + 1 == self.levels.len() {
-            *left_org = out.or(*left_org);
+            if i + 1 == self.levels.len() {
+                *left_org = Some(block);
+            }
         }
     }
 
@@ -482,83 +492,88 @@ impl Hierarchy {
     /// reports a block the *last* level pushed out — under Inclusion
     /// that is exactly a block leaving the organization entirely
     /// (upper-level evictions stay resident below).
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let n = self.levels.len();
+        let mut res = self.levels[0].cache.access(addr, is_write);
+        if res.hit && !is_write {
+            // The common case: a read hit at L1 moves nothing.
+            return AccessOutcome::hit_at(ServicePoint::Level(0));
+        }
+        // Level 0 sees every access once, so its access count is the
+        // stack's clock (stream LRU stamps, MSHR time).
+        let clock = self.levels[0].cache.stats().accesses;
         let mut down_is_write = is_write;
-        let mut served: Option<ServicePoint> = None;
         let mut left_org: Option<u64> = None;
-        for i in 0..n {
-            let block = self.levels[i].cache.geometry().block_addr(addr);
-            let res = self.levels[i].cache.access(addr, down_is_write);
+        let mut i = 0;
+        loop {
             if res.hit {
-                served = Some(ServicePoint::Level(i as u8));
-                self.note_departure(i, res.evicted, &mut left_org);
+                // A hit evicts nothing; only a write moves traffic on.
                 if down_is_write {
-                    let propagated = self.propagate_write(i, addr);
-                    left_org = propagated.or(left_org);
+                    left_org = self.propagate_write(i, addr).or(left_org);
                 }
-                break;
+                return AccessOutcome {
+                    evicted: left_org,
+                    ..AccessOutcome::hit_at(ServicePoint::Level(i as u8))
+                };
             }
             // Cache miss: probe the read sidecars *before* buffering this
             // access's own eviction, so a block cannot be dropped from
             // the victim buffer by the very access that wants it back.
+            let level = &mut self.levels[i];
+            let block = level.cache.geometry().block_addr(addr);
             let mut sidecar = None;
             if !down_is_write {
-                if let Some(v) = &mut self.levels[i].victim {
-                    if v.take(block) {
-                        // The fill `res` performed *is* the swap-back.
-                        self.levels[i].victim_hits += 1;
-                        sidecar = Some(ServicePoint::Victim(i as u8));
-                    }
-                }
-                if sidecar.is_none() {
-                    let clock = self.clock;
-                    if let Some(s) = &mut self.levels[i].streams {
-                        if s.take_head(block, clock) {
-                            self.levels[i].stream_hits += 1;
-                            sidecar = Some(ServicePoint::Stream(i as u8));
-                        }
-                    }
+                if level.victim.as_mut().is_some_and(|v| v.take(block)) {
+                    // The fill `res` performed *is* the swap-back.
+                    level.victim_hits += 1;
+                    sidecar = Some(ServicePoint::Victim(i as u8));
+                } else if level
+                    .streams
+                    .as_mut()
+                    .is_some_and(|s| s.take_head(block, clock))
+                {
+                    level.stream_hits += 1;
+                    sidecar = Some(ServicePoint::Stream(i as u8));
                 }
             }
-            self.note_departure(i, res.evicted, &mut left_org);
+            if let Some(evicted) = res.evicted {
+                self.route_eviction(i, evicted, &mut left_org);
+            }
             if let Some(point) = sidecar {
-                served = Some(point);
-                break;
+                return AccessOutcome {
+                    evicted: left_org,
+                    ..AccessOutcome::hit_at(point)
+                };
             }
             // Full miss at this level: allocate a stream (reads), note
             // the outstanding miss, and fall through to the next level —
             // as a read when this level allocated (the downstream
             // traffic is its fill fetch).
+            let level = &mut self.levels[i];
             if !down_is_write {
-                let clock = self.clock;
-                if let Some(s) = &mut self.levels[i].streams {
+                if let Some(s) = &mut level.streams {
                     s.allocate(block, clock);
                 }
             }
-            let (clock, penalty) = (self.clock, self.levels[i].miss_penalty);
-            if let Some(m) = &mut self.levels[i].mshr {
-                m.request(block, clock, penalty);
+            if let Some(m) = &mut level.mshr {
+                m.request(block, clock, level.miss_penalty);
             }
             down_is_write &= !res.filled;
+            i += 1;
+            if i == self.levels.len() {
+                break;
+            }
+            res = self.levels[i].cache.access(addr, down_is_write);
         }
-        let hit = served.is_some();
         if is_write {
-            self.demand.record_write(hit);
+            self.write_misses += 1;
         } else {
-            self.demand.record_read(hit);
+            self.read_misses += 1;
         }
-        match served {
-            Some(point) => AccessOutcome {
-                evicted: left_org,
-                ..AccessOutcome::hit_at(point)
-            },
-            None => AccessOutcome {
-                filled: !is_write,
-                evicted: left_org,
-                ..AccessOutcome::miss()
-            },
+        AccessOutcome {
+            filled: !is_write,
+            evicted: left_org,
+            ..AccessOutcome::miss()
         }
     }
 
@@ -572,8 +587,9 @@ impl Hierarchy {
             && self.levels[j].cache.write_policy() == WritePolicy::WriteThroughNoAllocate
         {
             j += 1;
-            let res = self.levels[j].cache.access(addr, true);
-            self.note_departure(j, res.evicted, &mut left_org);
+            if let Some(evicted) = self.levels[j].cache.access(addr, true).evicted {
+                self.route_eviction(j, evicted, &mut left_org);
+            }
         }
         left_org
     }
@@ -620,7 +636,7 @@ impl MemoryModel for Hierarchy {
             }
         }
         ModelStats {
-            demand: self.demand,
+            demand: self.demand_stats(),
             components,
             extras,
         }
@@ -658,6 +674,104 @@ impl MemoryModel for Hierarchy {
     }
 }
 
+/// The `[victim]`, `[stream]` and `[jouppi]` config sections: which of
+/// Jouppi's buffers sit beside the one level, and the names the
+/// organization reports under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JouppiPart {
+    /// The victim buffer alone.
+    Victim,
+    /// The stream buffers alone.
+    Stream,
+    /// Both: the complete reference-\[13\] design.
+    Both,
+}
+
+/// A one-level [`Hierarchy`] with victim and/or stream sidecars,
+/// evaluated by load miss ratio as the paper's §2.1 comparison
+/// evaluates Jouppi's buffers: stores pass through untouched
+/// ([`AccessOutcome::bypass`]) and are only counted.
+#[derive(Debug)]
+pub(crate) struct LoadsOnly {
+    stack: Hierarchy,
+    part: JouppiPart,
+    stores_bypassed: u64,
+}
+
+impl LoadsOnly {
+    /// Builds the organization around `level` (whose sidecars must
+    /// match `part`).
+    pub(crate) fn new(part: JouppiPart, level: LevelBuilder) -> Result<Self, Error> {
+        Ok(LoadsOnly {
+            stack: Hierarchy::builder().level(level).build()?,
+            part,
+            stores_bypassed: 0,
+        })
+    }
+}
+
+impl MemoryModel for LoadsOnly {
+    #[inline]
+    fn access(&mut self, r: MemRef) -> AccessOutcome {
+        if r.is_write {
+            self.stores_bypassed += 1;
+            return AccessOutcome::bypass();
+        }
+        self.stack.access(r.addr, false)
+    }
+
+    fn stats(&self) -> ModelStats {
+        let level = &self.stack.levels[0];
+        let (name, main) = match self.part {
+            JouppiPart::Victim => ("victim", "main-hits"),
+            JouppiPart::Stream => ("stream", "cache-hits"),
+            JouppiPart::Both => ("jouppi", "main-hits"),
+        };
+        let mut m = ModelStats::single(name, self.stack.demand_stats());
+        m.extras.push(extra(main, level.cache.stats().hits));
+        if level.victim.is_some() {
+            m.extras.push(extra("victim-hits", level.victim_hits));
+        }
+        if let Some(s) = &level.streams {
+            m.extras.push(extra("stream-hits", level.stream_hits));
+            if self.part == JouppiPart::Stream {
+                m.extras.push(extra("flushed-unused", s.flushed_unused));
+            }
+        }
+        m.extras
+            .push(extra("stores-bypassed", self.stores_bypassed));
+        m
+    }
+
+    fn reset(&mut self) {
+        self.stack.reset();
+        self.stores_bypassed = 0;
+    }
+
+    fn describe(&self) -> String {
+        let level = &self.stack.levels[0];
+        let geometry = level.cache.geometry();
+        let victim = level.victim.as_ref().map_or(0, VictimQueue::capacity);
+        let (buffers, depth) = level
+            .streams
+            .as_ref()
+            .map_or((0, 0), |s| (s.capacity, s.depth));
+        match self.part {
+            JouppiPart::Victim => {
+                format!("victim cache: {geometry} + {victim}-line fully-associative buffer")
+            }
+            JouppiPart::Stream => format!(
+                "{geometry}, {} placement + {buffers}x{depth} stream buffers",
+                level.cache.index_fn().label()
+            ),
+            JouppiPart::Both => format!(
+                "Jouppi organization: {geometry} + {victim}-line victim buffer + \
+                 {buffers}x{depth} stream buffers"
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,10 +803,15 @@ mod tests {
             .build();
         assert!(bad.is_err());
         // Zero-sized sidecars.
-        let bad = Hierarchy::builder()
-            .level(LevelBuilder::new(CacheGeometry::new(4096, 32, 1).unwrap()).victim_buffer(0))
-            .build();
-        assert!(bad.is_err());
+        let g = CacheGeometry::new(4096, 32, 1).unwrap();
+        for level in [
+            LevelBuilder::new(g).victim_buffer(0),
+            LevelBuilder::new(g).stream_buffers(0, 4),
+            LevelBuilder::new(g).stream_buffers(4, 0),
+            LevelBuilder::new(g).mshrs(0),
+        ] {
+            assert!(Hierarchy::builder().level(level).build().is_err());
+        }
     }
 
     #[test]
@@ -762,10 +881,14 @@ mod tests {
         assert!(s.demand.hits > 0);
     }
 
+    fn dm8k() -> CacheGeometry {
+        CacheGeometry::new(8 * 1024, 32, 1).unwrap()
+    }
+
     #[test]
     fn victim_sidecar_catches_conflicts_like_a_victim_cache() {
         let mut h = Hierarchy::builder()
-            .level(LevelBuilder::new(CacheGeometry::new(8 * 1024, 32, 1).unwrap()).victim_buffer(4))
+            .level(LevelBuilder::new(dm8k()).victim_buffer(4))
             .build()
             .unwrap();
         let a = 0u64;
@@ -778,6 +901,37 @@ mod tests {
         let s = MemoryModel::stats(&h);
         assert_eq!(s.extra("l1-victim-hits"), Some(1));
         assert_eq!(s.demand.misses, 2);
+        // From now on each access of the pair swaps via the buffer.
+        for _ in 0..10 {
+            assert!(h.access(a, false).hit);
+            assert!(h.access(b, false).hit);
+        }
+        assert_eq!(h.demand_stats().misses, 2, "only the two cold misses");
+    }
+
+    #[test]
+    fn victim_buffer_capacity_limits_protection() {
+        let mut h = Hierarchy::builder()
+            .level(LevelBuilder::new(dm8k()).victim_buffer(4))
+            .build()
+            .unwrap();
+        // 8 blocks conflicting on one set overwhelm a 4-entry buffer
+        // under cyclic access.
+        for _ in 0..5 {
+            for i in 0..8u64 {
+                h.access(i * 8 * 1024, false);
+            }
+        }
+        assert!(h.demand_stats().miss_ratio() > 0.5);
+        // A sequential sweep that fits the cache never needs the buffer.
+        h.reset();
+        for _ in 0..2 {
+            for i in 0..128u64 {
+                h.access(i * 32, false);
+            }
+        }
+        assert_eq!(h.demand_stats().misses, 128);
+        assert_eq!(MemoryModel::stats(&h).extra("l1-victim-hits"), Some(0));
     }
 
     #[test]
@@ -795,6 +949,167 @@ mod tests {
         let s = MemoryModel::stats(&h);
         assert_eq!(s.demand.misses, 1, "{:?}", s.demand);
         assert_eq!(s.extra("l1-stream-hits"), Some(1023));
+    }
+
+    /// The `[stream]` organization over a direct-mapped 8KB level.
+    fn stream_org(buffers: usize, depth: usize) -> LoadsOnly {
+        LoadsOnly::new(
+            JouppiPart::Stream,
+            LevelBuilder::new(dm8k()).stream_buffers(buffers, depth),
+        )
+        .unwrap()
+    }
+
+    fn read(m: &mut LoadsOnly, addr: u64) -> AccessOutcome {
+        m.access(MemRef {
+            pc: 0,
+            addr,
+            is_write: false,
+        })
+    }
+
+    /// `(misses, stream hits, flushed-unused)` of a stream organization.
+    fn stream_counters(m: &LoadsOnly) -> (u64, u64, u64) {
+        let s = m.stats();
+        let get = |name| s.extra(name).unwrap();
+        (s.demand.misses, get("stream-hits"), get("flushed-unused"))
+    }
+
+    #[test]
+    fn stream_buffers_follow_jouppis_policy() {
+        // Interleaved streams far apart each get their own buffer: one
+        // allocation per stream.
+        let mut m = stream_org(4, 4);
+        for i in 0..512u64 {
+            for base in [0, 0x1000_0000, 0x2000_0000] {
+                read(&mut m, base + i * 32);
+            }
+        }
+        assert_eq!(stream_counters(&m).0, 3);
+
+        // Six streams over two buffers: constant reallocation, which
+        // discards prefetched blocks unused.
+        let mut m = stream_org(2, 4);
+        for i in 0..64u64 {
+            for stream in 0..6u64 {
+                read(&mut m, (stream << 28) + i * 32);
+            }
+        }
+        let (misses, _, flushed) = stream_counters(&m);
+        assert!(misses > 300, "{misses}");
+        assert!(flushed > 0);
+
+        // Head-only: skipping the head (block 1) to block 2 is not a
+        // stream hit; it reallocates the buffer.
+        let mut m = stream_org(1, 4);
+        read(&mut m, 0);
+        assert_eq!(read(&mut m, 2 * 32).served_by, ServicePoint::Memory);
+
+        // Cache hits leave the buffers alone.
+        let mut m = stream_org(4, 4);
+        read(&mut m, 0x40);
+        assert_eq!(read(&mut m, 0x40).served_by, ServicePoint::Level(0));
+        assert_eq!(read(&mut m, 0x48).served_by, ServicePoint::Level(0));
+        assert_eq!(m.stats().extra("cache-hits"), Some(2));
+
+        // Reset clears the reallocation waste with everything else.
+        m.reset();
+        assert_eq!(stream_counters(&m), (0, 0, 0));
+    }
+
+    #[test]
+    fn stream_buffers_rescue_sequences_not_conflicts() {
+        // A power-of-two column stride is not sequential: the buffers
+        // do nothing for the conflicts I-Poly placement removes.
+        let mut m = stream_org(4, 4);
+        for _pass in 0..8 {
+            for i in 0..64u64 {
+                read(&mut m, i * 4096);
+            }
+        }
+        let (misses, stream_hits, _) = stream_counters(&m);
+        assert_eq!(stream_hits, 0);
+        assert!(misses as f64 / m.stats().demand.accesses as f64 > 0.5);
+
+        // Streams combine with I-Poly placement.
+        let mut m = LoadsOnly::new(
+            JouppiPart::Stream,
+            LevelBuilder::new(CacheGeometry::new(8 * 1024, 32, 2).unwrap())
+                .index_spec(IndexSpec::ipoly_skewed())
+                .stream_buffers(4, 4),
+        )
+        .unwrap();
+        for i in 0..512u64 {
+            read(&mut m, i * 32);
+        }
+        let (misses, stream_hits, _) = stream_counters(&m);
+        assert!(stream_hits as f64 / (stream_hits + misses) as f64 > 0.9);
+    }
+
+    fn jouppi() -> LoadsOnly {
+        LoadsOnly::new(
+            JouppiPart::Both,
+            LevelBuilder::new(dm8k())
+                .victim_buffer(4)
+                .stream_buffers(4, 4),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn jouppi_outcomes_name_the_servicing_structure() {
+        let mut c = jouppi();
+        assert_eq!(read(&mut c, 0x0000).served_by, ServicePoint::Memory);
+        assert_eq!(read(&mut c, 0x0008).served_by, ServicePoint::Level(0));
+        read(&mut c, 0x2000); // same DM set as 0x0000: spills it to the victim buffer
+        assert_eq!(read(&mut c, 0x0000).served_by, ServicePoint::Victim(0));
+        let out = read(&mut c, 0x2020); // prefetched by 0x2000's stream
+        assert_eq!(out.served_by, ServicePoint::Stream(0));
+        assert!(out.hit && out.is_hit());
+        // Stores pass through untouched and are only counted.
+        let store = c.access(MemRef {
+            pc: 0,
+            addr: 0x0000,
+            is_write: true,
+        });
+        assert_eq!(store, AccessOutcome::bypass());
+        let s = c.stats();
+        assert_eq!(s.extra("stores-bypassed"), Some(1));
+        assert_eq!(s.demand.accesses, 5);
+    }
+
+    #[test]
+    fn jouppi_buffers_split_the_miss_classes() {
+        // Each structure catches its own class in a mixed workload.
+        let mut c = jouppi();
+        for round in 0..32u64 {
+            read(&mut c, 0x0000);
+            read(&mut c, 0x0008); // same block: main hit
+            read(&mut c, 0x2000); // same set: victim material
+            read(&mut c, 0x4_0000 + round * 32); // sequential: stream material
+        }
+        let s = c.stats();
+        let get = |name| s.extra(name).unwrap();
+        assert!(get("main-hits") > 0);
+        assert!(get("victim-hits") > 0);
+        assert!(get("stream-hits") > 0);
+        assert_eq!(
+            get("main-hits") + get("victim-hits") + get("stream-hits") + s.demand.misses,
+            s.demand.accesses
+        );
+
+        // 64 blocks colliding on one set: 4 victim lines and a
+        // non-sequential stride leave both buffers helpless, the gap
+        // I-Poly placement closes.
+        let mut c = jouppi();
+        for _pass in 0..8 {
+            for i in 0..64u64 {
+                read(&mut c, i * 8192);
+            }
+        }
+        let s = c.stats();
+        assert_eq!(s.extra("stream-hits"), Some(0));
+        assert!(s.demand.miss_ratio() > 0.8, "{:?}", s.demand);
     }
 
     #[test]

@@ -5,8 +5,24 @@ use cac_sim::cache::{Cache, WritePolicy};
 use cac_sim::classify::ThreeCClassifier;
 use cac_sim::column::ColumnAssociative;
 use cac_sim::hierarchy::TwoLevelHierarchy;
+use cac_sim::model::MemoryModel;
 use cac_sim::vm::PageMapper;
+use cac_sim::SimConfig;
+use cac_trace::MemRef;
 use proptest::prelude::*;
+
+/// Builds one of the `[victim]`/`[stream]`/`[jouppi]` organizations.
+fn organization(toml: &str) -> Box<dyn MemoryModel> {
+    SimConfig::from_toml_str(toml).unwrap().build().unwrap()
+}
+
+fn load(addr: u64) -> MemRef {
+    MemRef {
+        pc: 0,
+        addr,
+        is_write: false,
+    }
+}
 
 fn geometries() -> impl Strategy<Value = CacheGeometry> {
     (10u32..15, 5u32..7, 0u32..2)
@@ -155,22 +171,23 @@ proptest! {
     fn jouppi_counters_partition_accesses(
         addrs in proptest::collection::vec(any::<u32>(), 1..400)
     ) {
-        use cac_sim::jouppi::JouppiCache;
-        let geom = CacheGeometry::new(4096, 32, 1).unwrap();
-        let mut c = JouppiCache::new(geom, 4, 4, 4).unwrap();
+        let mut c = organization(
+            "[jouppi]\nsize = \"4KiB\"\nvictim-lines = 4\nstream-buffers = 4\nstream-depth = 4\n",
+        );
         for &a in &addrs {
             let addr = u64::from(a) % (1 << 22);
-            c.read(addr);
-            let before = c.stats();
-            c.read(addr);
-            let after = c.stats();
-            prop_assert_eq!(after.main_hits, before.main_hits + 1,
+            c.access(load(addr));
+            let before = c.stats().extra("main-hits").unwrap();
+            c.access(load(addr));
+            let after = c.stats().extra("main-hits").unwrap();
+            prop_assert_eq!(after, before + 1,
                 "immediate re-read of {:#x} must hit the cache", addr);
         }
         let s = c.stats();
+        let get = |name| s.extra(name).unwrap();
         prop_assert_eq!(
-            s.main_hits + s.victim_hits + s.stream_hits + s.full_misses,
-            s.accesses
+            get("main-hits") + get("victim-hits") + get("stream-hits") + s.demand.misses,
+            s.demand.accesses
         );
     }
 
@@ -180,19 +197,18 @@ proptest! {
     fn stream_buffers_never_hurt(
         addrs in proptest::collection::vec(any::<u16>(), 1..400)
     ) {
-        use cac_sim::stream::StreamBufferCache;
         let geom = CacheGeometry::new(4096, 32, 1).unwrap();
         let mut bare = Cache::build(geom, IndexSpec::modulo()).unwrap();
-        let mut buffered = StreamBufferCache::new(geom, 4, 4).unwrap();
+        let mut buffered = organization("[stream]\nsize = \"4KiB\"\nbuffers = 4\ndepth = 4\n");
         let mut bare_misses = 0u64;
         for &a in &addrs {
             let addr = u64::from(a);
             if !bare.read(addr).hit {
                 bare_misses += 1;
             }
-            buffered.read(addr);
+            buffered.access(load(addr));
         }
-        prop_assert!(buffered.stats().misses <= bare_misses);
+        prop_assert!(buffered.stats().demand.misses <= bare_misses);
     }
 
     /// TLB translations always agree with the page table, and the stats

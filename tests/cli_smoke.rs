@@ -10,8 +10,8 @@
 //! cargo test`): we look for `target/release/cac`, then
 //! `target/debug/cac`. If neither exists the suite prints a skip notice
 //! rather than failing — run `cargo build --release` first for full
-//! coverage. The complete workspace test suite is
-//! `cargo test --workspace` (see README).
+//! coverage. A bare `cargo test` at the root runs every crate's suite
+//! (the workspace's `default-members`), this one included (see README).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -37,8 +37,8 @@ fn cac(args: &[&str]) -> Option<Output> {
         Some(b) => b,
         None => {
             eprintln!(
-                "cli_smoke: skipping — build the CLI first (`cargo build --release`); \
-                 the full suite is `cargo test --workspace`"
+                "cli_smoke: skipping — build the CLI first (`cargo build --release`), \
+                 then rerun `cargo test`"
             );
             return None;
         }

@@ -333,16 +333,19 @@ fn buffers_and_placement_attack_different_miss_classes() {
     // Reference [13] (victim + stream buffers) vs the paper's placement:
     // the conflict trio favours placement, streaming codes favour
     // prefetch — the E10 finding, pinned as a test.
-    use cac::sim::jouppi::JouppiCache;
-    let dm = CacheGeometry::new(8 * 1024, 32, 1).unwrap();
+    use cac::sim::SimConfig;
+    let jouppi = SimConfig::from_toml_str(
+        "[jouppi]\nsize = \"8KiB\"\nvictim-lines = 4\nstream-buffers = 4\nstream-depth = 4\n",
+    )
+    .unwrap();
     let run_jouppi = |b: SpecBenchmark| {
-        let mut c = JouppiCache::new(dm, 4, 4, 4).unwrap();
+        let mut c = jouppi.build().unwrap();
         let mut reads = 0u64;
         for r in mem_refs(b.generator(5).take(80_000)).filter(|r| !r.is_write) {
             reads += 1;
-            c.read(r.addr);
+            c.access(r);
         }
-        c.stats().full_misses as f64 / reads as f64
+        c.stats().demand.misses as f64 / reads as f64
     };
     let run_ipoly = |b: SpecBenchmark| {
         let mut c = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();

@@ -232,3 +232,33 @@ fn jouppi_with_8_victim_lines_and_2x8_streams_matches_its_golden() {
     );
     assert_golden("jouppi_v8_s2x8", &cfg, true);
 }
+
+#[test]
+fn shipped_virtual_real_config_matches_its_golden() {
+    assert_golden(
+        "virtual_real_randomized",
+        &example("ipoly_two_level.toml"),
+        false,
+    );
+}
+
+#[test]
+fn aliased_virtual_real_matches_its_golden() {
+    let cfg = inline(
+        "[hierarchy]\nvirtual-real = true\npage-mapping = \"aliased\"\npage-size = 4096\n\
+         frames = 64\n\
+         [[level]]\nsize = \"8KiB\"\nways = 2\nindex = \"ipoly-skew\"\n\
+         [[level]]\nsize = \"64KiB\"\nways = 2\n",
+    );
+    assert_golden("virtual_real_aliased", &cfg, false);
+}
+
+#[test]
+fn direct_mapped_identity_virtual_real_matches_its_golden() {
+    let cfg = inline(
+        "[hierarchy]\nvirtual-real = true\n\
+         [[level]]\nsize = \"8KiB\"\nindex = \"ipoly\"\n\
+         [[level]]\nsize = \"64KiB\"\n",
+    );
+    assert_golden("virtual_real_identity", &cfg, false);
+}

@@ -484,3 +484,29 @@ fn pruned_sweep_reports_screened_cells() {
     assert!(text.contains("PRUNED(predicted="), "{text}");
     assert!(text.contains("analytic screen:"), "{text}");
 }
+
+/// The §3 hierarchy experiments render byte-for-byte as recorded in
+/// `tests/golden/report_*.json` (every table shows nonzero holes, so
+/// the replacement, alias and coherence hole accounting are all
+/// pinned). There is no regeneration switch: a mismatch is a behaviour
+/// change.
+#[test]
+fn hierarchy_reports_match_their_goldens() {
+    for (args, golden) in [
+        (&["holes", "--ops", "200000"][..], "report_holes.json"),
+        (&["coherency"][..], "report_coherency.json"),
+        (&["ablation-l2-index"][..], "report_ablation_l2_index.json"),
+    ] {
+        let mut words = vec!["--format", "json"];
+        words.extend_from_slice(args);
+        let Some(out) = cac(&words) else { return };
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let path = repo_root().join("tests/golden").join(golden);
+        let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(out.stdout == want, "{args:?} differs from {golden}");
+    }
+}

@@ -14,8 +14,8 @@
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
-use cac_sim::hierarchy::TwoLevelHierarchy;
 use cac_sim::replacement::ReplacementPolicy;
+use cac_sim::stack::{Hierarchy, LevelBuilder};
 use cac_sim::vm::PageMapper;
 use cac_trace::MemRef;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -121,14 +121,12 @@ fn bench_cache(c: &mut Criterion) {
     group.throughput(Throughput::Elements(addrs.len() as u64));
     group.bench_function("l1_ipoly_l2_conv", |b| {
         let l2 = CacheGeometry::new(256 * 1024, 32, 2).unwrap();
-        let mut h = TwoLevelHierarchy::new(
-            geom,
-            IndexSpec::ipoly_skewed(),
-            l2,
-            IndexSpec::modulo(),
-            PageMapper::randomized(4096, 1 << 28, 1),
-        )
-        .unwrap();
+        let mut h = Hierarchy::builder()
+            .virtual_l1(PageMapper::randomized(4096, 1 << 28, 1))
+            .level(LevelBuilder::new(geom).index_spec(IndexSpec::ipoly_skewed()))
+            .level(LevelBuilder::new(l2).write_back())
+            .build()
+            .unwrap();
         b.iter(|| {
             for &a in &addrs {
                 black_box(h.read(black_box(a)));
@@ -227,7 +225,7 @@ fn bench_probe_kernels(c: &mut Criterion) {
 /// decoding varint/delta records off a byte stream sustains at least
 /// 80% of `run_refs` on a pre-materialised `Vec<MemRef>`.
 fn bench_trace_streaming(c: &mut Criterion) {
-    use cac_sim::replay::{run_cache_chunked, run_cache_refs};
+    use cac_sim::replay::{run_cache_chunked, run_cache_source};
     use cac_trace::io::{write_trace_binary, BinaryTraceReader, DEFAULT_CHUNK_OPS};
     use cac_trace::TraceOp;
 
@@ -254,7 +252,7 @@ fn bench_trace_streaming(c: &mut Criterion) {
         let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
         b.iter(|| {
             let mut reader = BinaryTraceReader::new(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_refs(&mut cache, &mut reader).unwrap())
+            black_box(run_cache_source(&mut cache, &mut reader).unwrap())
         })
     });
     group.bench_function("binary_stream_ops", |b| {
@@ -281,7 +279,7 @@ fn bench_trace_streaming(c: &mut Criterion) {
         let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
         b.iter(|| {
             let mut reader = BinaryTraceReader::new_lenient(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_refs(&mut cache, &mut reader).unwrap())
+            black_box(run_cache_source(&mut cache, &mut reader).unwrap())
         })
     });
     group.finish();

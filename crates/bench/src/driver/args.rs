@@ -3,9 +3,7 @@
 //! Every experiment declares its parameters as a static [`ParamSpec`]
 //! slice (name, default, help). The CLI accepts them as `--name value`
 //! or `--name=value` in any order, or positionally in declaration order
-//! — the latter is exactly the interface of the retired per-experiment
-//! binaries, so the thin compatibility shims forward their positional
-//! arguments unchanged.
+//! (`cac fig1 512 8`).
 
 use super::DriverError;
 use std::collections::BTreeMap;

@@ -15,12 +15,29 @@ use cac_core::holes::HoleModel;
 use cac_core::{CacheGeometry, IndexSpec};
 use cac_sim::cache::Cache;
 use cac_sim::coherence::SnoopingBus;
-use cac_sim::hierarchy::TwoLevelHierarchy;
 use cac_sim::pagesize::{DynamicIndexCache, IndexMode, Segment};
+use cac_sim::stack::{Hierarchy, LevelBuilder};
 use cac_sim::stats::CacheStats;
 use cac_sim::vm::PageMapper;
 use cac_trace::kernels::mem_refs;
 use cac_trace::spec::SpecBenchmark;
+
+/// The §3 virtual-real hierarchy: `l1` virtually indexed under `mapper`,
+/// over a write-back `l2`.
+fn virtual_real(
+    l1: CacheGeometry,
+    l1_spec: IndexSpec,
+    l2: CacheGeometry,
+    l2_spec: IndexSpec,
+    mapper: PageMapper,
+) -> Hierarchy {
+    Hierarchy::builder()
+        .virtual_l1(mapper)
+        .level(LevelBuilder::new(l1).index_spec(l1_spec))
+        .level(LevelBuilder::new(l2).index_spec(l2_spec).write_back())
+        .build()
+        .expect("hierarchy")
+}
 
 pub(super) fn holes(a: &ExpArgs) -> Result<Report, DriverError> {
     let ops = a.usize("ops")?;
@@ -60,14 +77,13 @@ pub(super) fn holes(a: &ExpArgs) -> Result<Report, DriverError> {
         let mut worst: f64 = 0.0;
         let mut total_rate = 0.0;
         for b in SpecBenchmark::all() {
-            let mut h = TwoLevelHierarchy::new(
+            let mut h = virtual_real(
                 l1,
                 l1_spec.clone(),
                 l2,
                 l2_spec.clone(),
                 PageMapper::randomized(4096, 1 << 30, 42),
-            )
-            .expect("hierarchy");
+            );
             for r in mem_refs(b.generator(7).take(ops)) {
                 h.access(r.addr, r.is_write);
             }
@@ -76,8 +92,8 @@ pub(super) fn holes(a: &ExpArgs) -> Result<Report, DriverError> {
             total_rate += rate;
             table.push_row(vec![
                 Value::s(b.name()),
-                Value::u(h.l2_stats().misses),
-                Value::u(h.stats().holes_created),
+                Value::u(h.level(1).stats().misses),
+                Value::u(h.holes_created()),
                 Value::f(rate, 3),
                 Value::f(model.p_hole_per_l2_miss() * 100.0, 2),
             ]);
@@ -295,14 +311,13 @@ const SHARED_BASE: u64 = 1 << 20;
 fn build_bus(l1_spec: IndexSpec) -> SnoopingBus {
     let nodes = (0..NODES)
         .map(|_| {
-            TwoLevelHierarchy::new(
+            virtual_real(
                 CacheGeometry::new(8 * 1024, 32, 2).expect("geometry"),
                 l1_spec.clone(),
                 CacheGeometry::new(256 * 1024, 32, 2).expect("geometry"),
                 IndexSpec::modulo(),
                 PageMapper::identity(),
             )
-            .expect("hierarchy")
         })
         .collect();
     SnoopingBus::new(nodes).expect("bus")
@@ -358,11 +373,10 @@ pub(super) fn coherency(a: &ExpArgs) -> Result<Report, DriverError> {
         let (mut repl, mut alias, mut coher) = (0u64, 0u64, 0u64);
         for i in 0..NODES {
             let node = bus.node(i).unwrap();
-            miss_pct += node.l1_stats().miss_ratio() * 100.0 / NODES as f64;
-            let s = node.stats();
-            repl += s.holes_created;
-            alias += s.alias_invalidations;
-            coher += s.external_invalidations_l1;
+            miss_pct += node.level(0).stats().miss_ratio() * 100.0 / NODES as f64;
+            repl += node.holes_created();
+            alias += node.alias_invalidations();
+            coher += node.external_invalidations().0;
         }
         table.push_row(vec![
             Value::s(name),
@@ -406,14 +420,13 @@ pub(super) fn ablation_l2_index(a: &ExpArgs) -> Result<Report, DriverError> {
         ("XOR-fold", IndexSpec::xor()),
         ("random-table", IndexSpec::rand_table()),
     ] {
-        let mut h = TwoLevelHierarchy::new(
+        let mut h = virtual_real(
             l1,
             IndexSpec::ipoly_skewed(),
             l2,
             l2_spec,
             PageMapper::randomized(4096, 1 << 28, 7),
-        )
-        .expect("hierarchy");
+        );
         for round in 0..rounds {
             for i in 0..blocks {
                 h.read(i * 32 + (round % 2) * 8);
@@ -424,8 +437,8 @@ pub(super) fn ablation_l2_index(a: &ExpArgs) -> Result<Report, DriverError> {
         }
         table.push_row(vec![
             Value::s(name),
-            Value::u(h.l2_stats().misses),
-            Value::u(h.stats().holes_created),
+            Value::u(h.level(1).stats().misses),
+            Value::u(h.holes_created()),
             Value::f(h.hole_rate(), 4),
         ]);
     }

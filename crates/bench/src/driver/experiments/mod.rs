@@ -1,12 +1,12 @@
 //! The experiment implementations behind the `cac` subcommands.
 //!
-//! Each submodule ports the logic of one group of retired standalone
-//! binaries into functions from [`ExpArgs`](crate::driver::args::ExpArgs)
-//! to [`Report`](crate::driver::report::Report); [`REGISTRY`] binds them
-//! to subcommand names, legacy binary names, and declared parameters.
+//! Each submodule holds one group of experiments as functions from
+//! [`ExpArgs`](crate::driver::args::ExpArgs) to
+//! [`Report`](crate::driver::report::Report); [`REGISTRY`] binds them
+//! to subcommand names and declared parameters.
 //!
-//! Parameter declaration order matters: it is the positional-argument
-//! order of the retired binaries, which the compatibility shims rely on.
+//! Parameter declaration order matters: it is the order in which
+//! `cac <command>` accepts parameters positionally.
 
 mod ablations;
 mod analytic;
@@ -32,7 +32,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- paper figures & tables ------------------------------------
     Experiment {
         name: "fig1",
-        legacy_bin: Some("fig1_stride_sweep"),
         group: "paper figures & tables",
         summary: "Figure 1: per-stride miss-ratio distribution of the four schemes",
         params: &[
@@ -43,7 +42,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "table1",
-        legacy_bin: Some("table1_config"),
         group: "paper figures & tables",
         summary: "Table 1: functional units and processor parameters, verified",
         params: &[],
@@ -51,7 +49,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "table2",
-        legacy_bin: Some("table2_ipc"),
         group: "paper figures & tables",
         summary: "Table 2: IPC and load miss ratio, 18 workloads x 6 configurations",
         params: &[param("ops", "200000", "instructions per configuration")],
@@ -59,7 +56,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "table3",
-        legacy_bin: Some("table3_bad_programs"),
         group: "paper figures & tables",
         summary: "Table 3: the high-conflict programs and the headline IPC gains",
         params: &[param("ops", "200000", "instructions per configuration")],
@@ -68,7 +64,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- cache-level studies ---------------------------------------
     Experiment {
         name: "missratio",
-        legacy_bin: Some("missratio_comparison"),
         group: "cache-level studies",
         summary: "section 2.1: conventional vs I-Poly vs fully-associative miss ratios",
         params: &[param("ops", "400000", "ops per benchmark")],
@@ -76,7 +71,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "organizations",
-        legacy_bin: Some("organizations_comparison"),
         group: "cache-level studies",
         summary: "section 2.1: every named 8KB cache organization, head to head",
         params: &[param("ops", "200000", "ops per benchmark")],
@@ -84,7 +78,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "column",
-        legacy_bin: Some("column_assoc"),
         group: "cache-level studies",
         summary: "section 3.1 option 4: column-associative with polynomial rehash",
         params: &[param("ops", "400000", "ops per benchmark")],
@@ -92,7 +85,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "related",
-        legacy_bin: Some("related_work_indexing"),
         group: "cache-level studies",
         summary: "section 2.1 related work: all placement functions on both evaluations",
         params: &[
@@ -103,7 +95,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "tiling",
-        legacy_bin: Some("tiling_conflicts"),
         group: "cache-level studies",
         summary: "section 5: tiled matmul tile-size sweep, conventional vs I-Poly",
         params: &[param("n", "128", "matrix dimension")],
@@ -111,7 +102,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "lru-curve",
-        legacy_bin: None,
         group: "cache-level studies",
         summary: "Mattson one-pass LRU miss-ratio curves over a size x associativity grid",
         params: &[
@@ -130,7 +120,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "regions",
-        legacy_bin: Some("debug_regions"),
         group: "cache-level studies",
         summary: "debugging aid: per-region miss breakdown for one benchmark",
         params: &[
@@ -142,7 +131,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- analytic screening ----------------------------------------
     Experiment {
         name: "analytic-predict",
-        legacy_bin: None,
         group: "analytic screening",
         summary: "closed-form miss-ratio grid from one stack-distance pass, no replay",
         params: &[
@@ -161,7 +149,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "analytic-validate",
-        legacy_bin: None,
         group: "analytic screening",
         summary: "model-vs-simulation error over config files; exit 1 beyond the bound",
         params: &[
@@ -181,7 +168,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- processor-level studies -----------------------------------
     Experiment {
         name: "options",
-        legacy_bin: Some("options_comparison"),
         group: "processor-level studies",
         summary: "section 3.1: translation options (physical vs virtual-real) by IPC",
         params: &[param("ops", "120000", "instructions per benchmark")],
@@ -189,7 +175,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "predictor",
-        legacy_bin: Some("predictor_accuracy"),
         group: "processor-level studies",
         summary: "section 3.4: memory address predictability of the workload suite",
         params: &[param("ops", "400000", "ops per benchmark")],
@@ -198,7 +183,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- two-level hierarchy ---------------------------------------
     Experiment {
         name: "holes",
-        legacy_bin: Some("holes_model"),
         group: "two-level hierarchy",
         summary: "section 3.3: hole probability, analytical model vs simulation",
         params: &[param("ops", "400000", "ops per benchmark")],
@@ -206,7 +190,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "option2",
-        legacy_bin: Some("option2_pagesize"),
         group: "two-level hierarchy",
         summary: "section 3.1 option 2: page-size-aware dynamic index switching",
         params: &[param("passes", "64", "kernel passes per phase")],
@@ -214,7 +197,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "coherency",
-        legacy_bin: Some("coherency_holes"),
         group: "two-level hierarchy",
         summary: "section 3.3 cause 3: external coherency holes on a snooping bus",
         params: &[param("rounds", "256", "traffic rounds")],
@@ -223,7 +205,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- hardware cost ---------------------------------------------
     Experiment {
         name: "xor-tree",
-        legacy_bin: Some("xor_tree_cost"),
         group: "hardware cost",
         summary: "section 3.4: XOR-tree fan-in and the carry-lookahead slack argument",
         params: &[],
@@ -231,7 +212,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "interleave",
-        legacy_bin: Some("interleave_bandwidth"),
         group: "hardware cost",
         summary: "Rau [19]: bank-selection functions in interleaved memory",
         params: &[
@@ -245,7 +225,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- ablations -------------------------------------------------
     Experiment {
         name: "ablation-poly",
-        legacy_bin: Some("ablation_poly_choice"),
         group: "ablations",
         summary: "A1: irreducible vs reducible vs degenerate polynomial choice",
         params: &[param("ops", "200000", "ops per benchmark")],
@@ -253,7 +232,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-address-bits",
-        legacy_bin: Some("ablation_address_bits"),
         group: "ablations",
         summary: "A2: I-Poly hash input width vs miss ratio",
         params: &[param("ops", "200000", "ops per benchmark")],
@@ -261,7 +239,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-predictor",
-        legacy_bin: Some("ablation_predictor"),
         group: "ablations",
         summary: "A3: address-predictor table size sweep",
         params: &[param("ops", "200000", "ops per benchmark")],
@@ -269,7 +246,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-related-ipc",
-        legacy_bin: Some("ablation_related_ipc"),
         group: "ablations",
         summary: "A4: related-work schemes through the full processor model",
         params: &[param("ops", "100000", "instructions per benchmark")],
@@ -277,7 +253,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-write-policy",
-        legacy_bin: Some("ablation_write_policy"),
         group: "ablations",
         summary: "A5: write policy x placement interaction",
         params: &[param("ops", "150000", "ops per benchmark")],
@@ -285,7 +260,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-l2-index",
-        legacy_bin: Some("ablation_l2_index"),
         group: "ablations",
         summary: "A6: does the L2 index function change the hole rate?",
         params: &[
@@ -296,7 +270,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablation-replacement",
-        legacy_bin: Some("ablation_replacement"),
         group: "ablations",
         summary: "A7: LRU vs FIFO vs random replacement under skew",
         params: &[param("ops", "150000", "ops per benchmark")],
@@ -305,7 +278,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- trace tools -----------------------------------------------
     Experiment {
         name: "sweep",
-        legacy_bin: None,
         group: "trace tools",
         summary: "generalised stride sweep: any schemes, any geometry, CSV-friendly",
         params: &[
@@ -339,7 +311,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "replay",
-        legacy_bin: None,
         group: "trace tools",
         summary: "stream a trace file through a configurable cache",
         params: &[
@@ -359,7 +330,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "trace-gen",
-        legacy_bin: None,
         group: "trace tools",
         summary: "generate a workload-model trace file (binary or text)",
         params: &[
@@ -378,7 +348,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "trace-convert",
-        legacy_bin: None,
         group: "trace tools",
         summary: "convert a trace between text and binary formats",
         params: &[
@@ -390,7 +359,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "trace-info",
-        legacy_bin: None,
         group: "trace tools",
         summary: "summarise a trace file (op mix, address range)",
         params: &[
@@ -406,7 +374,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- corpus tier -----------------------------------------------
     Experiment {
         name: "corpus-add",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "ingest a trace into a corpus (any format -> columnar store)",
         params: &[
@@ -418,7 +385,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "corpus-ls",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "list a corpus's stored traces (counts, sizes, content hashes)",
         params: &[param("dir", "", "corpus directory")],
@@ -426,7 +392,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "corpus-verify",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "audit every stored trace: hashes, checksums, record counts",
         params: &[param("dir", "", "corpus directory")],
@@ -434,7 +399,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "corpus-run",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "sweep every stored trace x config grid, recomputing only changed cells",
         params: &[
@@ -488,7 +452,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "corpus-fsck",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "audit manifest/pool/journal consistency; --repair fixes the mechanically-safe subset",
         params: &[
@@ -503,7 +466,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "corpus-chaos",
-        legacy_bin: None,
         group: "corpus tier",
         summary: "fault-injection harness: run the fleet under seeded faults and audit convergence",
         params: &[
@@ -545,7 +507,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- benchmarks ------------------------------------------------
     Experiment {
         name: "bench-corpus",
-        legacy_bin: None,
         group: "benchmarks",
         summary: "columnar streaming vs in-memory sweep throughput + incremental rerun speedup",
         params: &[
@@ -563,7 +524,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "bench-sweep",
-        legacy_bin: None,
         group: "benchmarks",
         summary: "sweep-engine throughput over the organization matrix (JSON-friendly)",
         params: &[
@@ -588,7 +548,6 @@ pub const REGISTRY: &[Experiment] = &[
     // ----- declarative configs ---------------------------------------
     Experiment {
         name: "run",
-        legacy_bin: None,
         group: "declarative configs",
         summary: "replay a trace (file or synthetic) against a TOML-configured model",
         params: &[
@@ -620,7 +579,6 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "config-validate",
-        legacy_bin: None,
         group: "declarative configs",
         summary: "parse and build config files, failing loudly on any rot",
         params: &[vparam(

@@ -2,18 +2,14 @@
 //!
 //! The paper's evaluation is a matrix of experiments (the Figure 1
 //! stride sweep, Tables 1–3, the §3.1 option studies, the §3.3 hole
-//! model, plus this workspace's ablations). Historically each lived in
-//! its own binary under `src/bin/` with ad-hoc output; this module
-//! subsumes them all behind one registry:
+//! model, plus this workspace's ablations). This module puts them all
+//! behind one registry:
 //!
 //! * every experiment is a function from parsed parameters
 //!   ([`args::ExpArgs`]) to a structured [`report::Report`];
 //! * the `cac` binary dispatches subcommands (`cac fig1`, `cac table2`,
 //!   `cac trace convert`, ...) to the registry and renders the report as
-//!   text, JSON or CSV (`--format`), to stdout or a file (`--out`);
-//! * the retired per-experiment binaries remain as thin shims over
-//!   [`legacy_main`], which maps their positional arguments onto the
-//!   same experiment functions — same code path, same numbers.
+//!   text, JSON or CSV (`--format`), to stdout or a file (`--out`).
 //!
 //! # Example
 //!
@@ -85,9 +81,6 @@ impl From<std::io::Error> for DriverError {
 pub struct Experiment {
     /// Subcommand name (`cac <name>`).
     pub name: &'static str,
-    /// Name of the retired standalone binary this subcommand subsumes
-    /// (`None` for commands new to the unified CLI).
-    pub legacy_bin: Option<&'static str>,
     /// Help grouping.
     pub group: &'static str,
     /// One-line description.
@@ -102,7 +95,6 @@ impl fmt::Debug for Experiment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Experiment")
             .field("name", &self.name)
-            .field("legacy_bin", &self.legacy_bin)
             .finish_non_exhaustive()
     }
 }
@@ -117,15 +109,8 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     experiments().iter().find(|e| e.name == name)
 }
 
-/// Looks an experiment up by the name of the standalone binary it
-/// retired.
-pub fn find_legacy(bin: &str) -> Option<&'static Experiment> {
-    experiments().iter().find(|e| e.legacy_bin == Some(bin))
-}
-
 /// Parses `words` against the experiment's declared parameters and runs
-/// it. This is the programmatic entry the CLI, the shims and the tests
-/// all share.
+/// it. This is the programmatic entry the CLI and the tests share.
 ///
 /// # Errors
 ///
@@ -149,8 +134,7 @@ fn usage() -> String {
          \x20   cac list               one line per command\n\
          \x20   cac --version          print the driver version\n\
          \n\
-         Parameters may also be given positionally in declaration order, exactly\n\
-         as the retired per-experiment binaries accepted them.\n\
+         Parameters may also be given positionally, in declaration order.\n\
          \n\
          Exit codes: 0 success; 1 report carries failures; 2 usage error;\n\
          3 input error (unreadable/corrupt trace, bad config, stale checkpoint).\n",
@@ -161,20 +145,13 @@ fn usage() -> String {
             group = e.group;
             out.push_str(&format!("\n{group}:\n"));
         }
-        let legacy = match e.legacy_bin {
-            Some(b) => format!("  (was: {b})"),
-            None => String::new(),
-        };
-        out.push_str(&format!("    {:<22} {}{legacy}\n", e.name, e.summary));
+        out.push_str(&format!("    {:<22} {}\n", e.name, e.summary));
     }
     out
 }
 
 fn command_help(e: &Experiment) -> String {
     let mut out = format!("cac {} — {}\n", e.name, e.summary);
-    if let Some(b) = e.legacy_bin {
-        out.push_str(&format!("(subsumes the retired `{b}` binary)\n"));
-    }
     if e.params.is_empty() {
         out.push_str("\nno parameters\n");
     } else {
@@ -377,38 +354,6 @@ fn extract_global_flags(
     Ok(())
 }
 
-/// Entry point for the retired per-experiment binaries: maps their
-/// positional `std::env::args` onto the registered experiment and
-/// prints the text report, preserving the old invocation style
-/// (`fig1_stride_sweep [max_stride] [passes]`). Returns the exit code.
-pub fn legacy_main(legacy_bin: &str) -> i32 {
-    let Some(exp) = find_legacy(legacy_bin) else {
-        eprintln!("driver bug: no experiment registered for {legacy_bin}");
-        return 1;
-    };
-    eprintln!(
-        "note: `{legacy_bin}` is now `cac {}`; this shim forwards to it",
-        exp.name
-    );
-    let words: Vec<String> = std::env::args().skip(1).collect();
-    match run_experiment(exp.name, &words) {
-        Ok(report) => {
-            print!("{}", report.to_text());
-            0
-        }
-        Err(DriverError::Usage(m)) => {
-            eprintln!("{m}");
-            2
-        }
-        // The retired binaries only ever distinguished 0/1/2, so input
-        // errors collapse to 1 here to keep their contract stable.
-        Err(DriverError::Failed(m)) | Err(DriverError::Input(m)) => {
-            eprintln!("{legacy_bin} failed: {m}");
-            1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,16 +361,11 @@ mod tests {
     #[test]
     fn registry_is_consistent() {
         let mut names = std::collections::BTreeSet::new();
-        let mut legacy = std::collections::BTreeSet::new();
         for e in experiments() {
             assert!(names.insert(e.name), "duplicate command {}", e.name);
             assert!(!e.summary.is_empty(), "{} needs a summary", e.name);
-            if let Some(b) = e.legacy_bin {
-                assert!(legacy.insert(b), "duplicate legacy bin {b}");
-            }
         }
-        // Every retired binary keeps exactly one subcommand.
-        assert_eq!(legacy.len(), 24, "24 retired binaries must stay covered");
+        assert_eq!(names.len(), 42, "the registered command surface");
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! The paper's whole evaluation is driven from one binary, `cac`
 //! (`src/bin/cac.rs`), whose subcommands live in the [`driver`] module:
 //! every experiment is a function from parsed parameters to a structured
-//! report that renders as text, JSON or CSV. The former one-binary-per-
-//! experiment mains under `src/bin/` remain as thin shims over
-//! [`driver::legacy_main`]. Criterion micro-benchmarks live in
-//! `benches/`.
+//! report that renders as text, JSON or CSV. Criterion
+//! micro-benchmarks live in `benches/`.
 //!
 //! This library also hosts the shared substrate: the [`driver`] itself,
 //! parallel sweeps ([`parallel`]), terminal bar charts ([`chart`]), the

@@ -13,14 +13,14 @@
 //!    experiment (for the victim and Jouppi organizations, whose
 //!    concrete types are retired too, the recorded goldens stand in);
 //! 3. the shipped virtual-real hierarchy config reproduces a hand-built
-//!    [`TwoLevelHierarchy`] access for access.
+//!    virtual-real [`Hierarchy`] access for access.
 
 use cac_bench::driver::experiments::organization_matrix;
 use cac_bench::driver::{self};
 use cac_core::{CacheGeometry, IndexSpec};
 use cac_sim::cache::Cache;
 use cac_sim::column::{ColumnAssociative, RehashKind};
-use cac_sim::hierarchy::TwoLevelHierarchy;
+use cac_sim::stack::{Hierarchy, LevelBuilder};
 use cac_sim::vm::PageMapper;
 use cac_sim::SimConfig;
 use cac_trace::kernels::mem_refs;
@@ -175,14 +175,15 @@ fn shipped_virtual_real_config_matches_a_hand_built_hierarchy() {
     // ipoly_two_level.toml, hand-built: 8KB 2-way skewed-I-Poly L1 over
     // a 256KB 2-way conventional L2, randomized 4KB paging over 256MB,
     // seed 42.
-    let mut reference = TwoLevelHierarchy::new(
-        CacheGeometry::new(8 * 1024, 32, 2).unwrap(),
-        IndexSpec::ipoly_skewed(),
-        CacheGeometry::new(256 * 1024, 32, 2).unwrap(),
-        IndexSpec::modulo(),
-        PageMapper::randomized(4096, 256 << 20, 42),
-    )
-    .unwrap();
+    let mut reference = Hierarchy::builder()
+        .virtual_l1(PageMapper::randomized(4096, 256 << 20, 42))
+        .level(
+            LevelBuilder::new(CacheGeometry::new(8 * 1024, 32, 2).unwrap())
+                .index_spec(IndexSpec::ipoly_skewed()),
+        )
+        .level(LevelBuilder::new(CacheGeometry::new(256 * 1024, 32, 2).unwrap()).write_back())
+        .build()
+        .unwrap();
     let refs = workload(60_000);
     for r in &refs {
         reference.access(r.addr, r.is_write);
@@ -193,15 +194,12 @@ fn shipped_virtual_real_config_matches_a_hand_built_hierarchy() {
         .unwrap();
     model.run_refs(&refs);
     let s = model.stats();
-    assert_eq!(s.component("l1"), Some(&reference.l1_stats()));
-    assert_eq!(s.component("l2"), Some(&reference.l2_stats()));
-    assert_eq!(
-        s.extra("holes-created"),
-        Some(reference.stats().holes_created)
-    );
+    assert_eq!(s.component("l1"), Some(&reference.level(0).stats()));
+    assert_eq!(s.component("l2"), Some(&reference.level(1).stats()));
+    assert_eq!(s.extra("holes-created"), Some(reference.holes_created()));
     assert_eq!(
         s.extra("alias-invalidations"),
-        Some(reference.stats().alias_invalidations)
+        Some(reference.alias_invalidations())
     );
 }
 

@@ -1,9 +1,8 @@
 //! Integration tests for the unified `cac` experiment driver.
 //!
 //! The load-bearing guarantee: `cac fig1` (and every other subcommand)
-//! produces the *same numbers* as the retired standalone binary it
-//! replaced. The shims share the experiment functions by construction;
-//! this test re-derives Figure 1 the way the old `fig1_stride_sweep`
+//! produces the *same numbers* as the standalone binary it replaced.
+//! This test re-derives Figure 1 the way the old `fig1_stride_sweep`
 //! main did — a direct per-stride loop — and checks the driver's report
 //! against it.
 
@@ -73,42 +72,6 @@ fn fig1_positional_and_flag_args_agree() {
         driver::run_experiment("fig1", &words(&["--max-stride", "64", "--passes", "2"])).unwrap();
     let by_position = driver::run_experiment("fig1", &words(&["64", "2"])).unwrap();
     assert_eq!(by_flags.to_json(), by_position.to_json());
-}
-
-#[test]
-fn every_legacy_binary_has_a_subcommand() {
-    let legacy = [
-        "fig1_stride_sweep",
-        "table1_config",
-        "table2_ipc",
-        "table3_bad_programs",
-        "missratio_comparison",
-        "organizations_comparison",
-        "column_assoc",
-        "related_work_indexing",
-        "tiling_conflicts",
-        "debug_regions",
-        "options_comparison",
-        "predictor_accuracy",
-        "holes_model",
-        "option2_pagesize",
-        "coherency_holes",
-        "xor_tree_cost",
-        "interleave_bandwidth",
-        "ablation_poly_choice",
-        "ablation_address_bits",
-        "ablation_predictor",
-        "ablation_related_ipc",
-        "ablation_write_policy",
-        "ablation_l2_index",
-        "ablation_replacement",
-    ];
-    for bin in legacy {
-        let exp = driver::find_legacy(bin)
-            .unwrap_or_else(|| panic!("retired binary {bin} lost its subcommand"));
-        assert!(driver::find(exp.name).is_some());
-    }
-    assert_eq!(driver::experiments().len(), legacy.len() + 18, "new tools");
 }
 
 #[test]

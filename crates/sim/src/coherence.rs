@@ -1,4 +1,4 @@
-//! A write-invalidate snooping bus over two-level virtual-real nodes.
+//! A write-invalidate snooping bus over virtual-real nodes.
 //!
 //! §3.2 of the paper notes that with Inclusion maintained, "a snooping bus
 //! protocol need only compare addresses of global write operations with
@@ -8,8 +8,9 @@
 //! cache architecture". This module builds the machinery anyway, so the
 //! claim can be checked and the hole-cause breakdown measured:
 //!
-//! * every node is a [`TwoLevelHierarchy`] (virtually-indexed L1 over a
-//!   physically-indexed L2 with explicit inclusion);
+//! * every node is a virtual-real [`Hierarchy`] (a virtually indexed L1
+//!   over a physically indexed L2 with explicit inclusion, built with
+//!   [`HierarchyBuilder::virtual_l1`](crate::stack::HierarchyBuilder::virtual_l1));
 //! * a write by one node broadcasts an invalidation of the written
 //!   physical block; snooping nodes drop it from L2 and, for Inclusion,
 //!   from L1 — punching a coherence hole;
@@ -26,28 +27,31 @@
 //! ```
 //! use cac_core::{CacheGeometry, IndexSpec};
 //! use cac_sim::coherence::SnoopingBus;
-//! use cac_sim::hierarchy::TwoLevelHierarchy;
+//! use cac_sim::stack::{Hierarchy, LevelBuilder};
 //! use cac_sim::vm::PageMapper;
 //!
-//! let node = || TwoLevelHierarchy::new(
-//!     CacheGeometry::new(1024, 32, 1)?,
-//!     IndexSpec::ipoly(),
-//!     CacheGeometry::new(4096, 32, 1)?,
-//!     IndexSpec::modulo(),
-//!     PageMapper::identity(),
-//! );
+//! let l1 = LevelBuilder::new(CacheGeometry::new(1024, 32, 1)?).index_spec(IndexSpec::ipoly());
+//! let l2 = LevelBuilder::new(CacheGeometry::new(4096, 32, 1)?).write_back();
+//! let node = || {
+//!     Hierarchy::builder()
+//!         .virtual_l1(PageMapper::identity())
+//!         .level(l1.clone())
+//!         .level(l2.clone())
+//!         .build()
+//! };
 //! let mut bus = SnoopingBus::new(vec![node()?, node()?])?;
 //!
 //! bus.read(0, 0x100)?;         // node 0 caches the block
 //! bus.read(1, 0x100)?;         // node 1 caches it too (shared)
 //! bus.write(1, 0x100)?;        // node 1 writes: node 0 is invalidated
-//! assert!(!bus.node(0).unwrap().l1().contains(0x100));
+//! assert!(!bus.node(0).unwrap().level(0).contains(0x100));
 //! assert!(bus.read(9, 0x100).is_err()); // out-of-range node: an error, not a panic
 //! assert!(bus.check_invariants());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::hierarchy::{HierarchyAccess, TwoLevelHierarchy};
+use crate::model::AccessOutcome;
+use crate::stack::Hierarchy;
 use cac_core::Error;
 
 /// Bus-level counters.
@@ -77,12 +81,13 @@ impl BusStats {
     }
 }
 
-/// A write-invalidate snooping bus over `N` private two-level hierarchies.
+/// A write-invalidate snooping bus over `N` private virtual-real
+/// hierarchies.
 ///
 /// See the [module docs](self) for the protocol and an example.
 #[derive(Debug)]
 pub struct SnoopingBus {
-    nodes: Vec<TwoLevelHierarchy>,
+    nodes: Vec<Hierarchy>,
     stats: BusStats,
 }
 
@@ -92,7 +97,7 @@ impl SnoopingBus {
     /// # Errors
     ///
     /// Returns [`Error::OutOfRange`] if no nodes are supplied.
-    pub fn new(nodes: Vec<TwoLevelHierarchy>) -> Result<Self, Error> {
+    pub fn new(nodes: Vec<Hierarchy>) -> Result<Self, Error> {
         if nodes.is_empty() {
             return Err(Error::OutOfRange {
                 what: "node count",
@@ -126,7 +131,7 @@ impl SnoopingBus {
     }
 
     /// Immutable access to a node; `None` if `i` is out of range.
-    pub fn node(&self, i: usize) -> Option<&TwoLevelHierarchy> {
+    pub fn node(&self, i: usize) -> Option<&Hierarchy> {
         self.nodes.get(i)
     }
 
@@ -137,7 +142,7 @@ impl SnoopingBus {
     /// # Errors
     ///
     /// [`Error::OutOfRange`] if `i` is not a node on this bus.
-    pub fn read(&mut self, i: usize, va: u64) -> Result<HierarchyAccess, Error> {
+    pub fn read(&mut self, i: usize, va: u64) -> Result<AccessOutcome, Error> {
         self.check_node(i)?;
         self.stats.reads += 1;
         Ok(self.nodes[i].read(va))
@@ -150,7 +155,7 @@ impl SnoopingBus {
     /// # Errors
     ///
     /// [`Error::OutOfRange`] if `i` is not a node on this bus.
-    pub fn write(&mut self, i: usize, va: u64) -> Result<HierarchyAccess, Error> {
+    pub fn write(&mut self, i: usize, va: u64) -> Result<AccessOutcome, Error> {
         self.check_node(i)?;
         self.stats.writes += 1;
         let pa = self.nodes[i].translate(va);
@@ -179,7 +184,7 @@ impl SnoopingBus {
     /// Verifies the protocol invariants: Inclusion inside every node.
     /// (The single-writer property is enforced synchronously by
     /// [`SnoopingBus::write`]; tests check it per write via
-    /// [`TwoLevelHierarchy::holds_physical_block`].)
+    /// [`Hierarchy::holds_physical_block`].)
     pub fn check_invariants(&mut self) -> bool {
         self.nodes.iter_mut().all(|n| n.check_inclusion())
     }
@@ -188,18 +193,21 @@ impl SnoopingBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ServicePoint;
+    use crate::stack::LevelBuilder;
     use crate::vm::PageMapper;
     use cac_core::{CacheGeometry, IndexSpec};
 
-    fn node() -> TwoLevelHierarchy {
-        TwoLevelHierarchy::new(
-            CacheGeometry::new(1024, 32, 1).unwrap(),
-            IndexSpec::ipoly(),
-            CacheGeometry::new(4096, 32, 1).unwrap(),
-            IndexSpec::modulo(),
-            PageMapper::identity(),
-        )
-        .unwrap()
+    fn node() -> Hierarchy {
+        Hierarchy::builder()
+            .virtual_l1(PageMapper::identity())
+            .level(
+                LevelBuilder::new(CacheGeometry::new(1024, 32, 1).unwrap())
+                    .index_spec(IndexSpec::ipoly()),
+            )
+            .level(LevelBuilder::new(CacheGeometry::new(4096, 32, 1).unwrap()).write_back())
+            .build()
+            .unwrap()
     }
 
     fn bus(n: usize) -> SnoopingBus {
@@ -253,11 +261,12 @@ mod tests {
     fn remote_reader_misses_after_invalidation() {
         let mut b = bus(2);
         b.read(1, 0x300).unwrap();
-        assert!(b.read(1, 0x300).unwrap().l1_hit);
+        let l1_hit = |o: AccessOutcome| o.served_by == ServicePoint::Level(0);
+        assert!(l1_hit(b.read(1, 0x300).unwrap()));
         b.write(0, 0x300).unwrap();
         // Node 1 must re-fetch: its copy was invalidated.
-        assert!(!b.read(1, 0x300).unwrap().l1_hit);
-        assert_eq!(b.node(1).unwrap().stats().external_invalidations_l1, 1);
+        assert!(!l1_hit(b.read(1, 0x300).unwrap()));
+        assert_eq!(b.node(1).unwrap().external_invalidations().0, 1);
     }
 
     #[test]
@@ -273,8 +282,8 @@ mod tests {
         // node's freshly-refetched copy.
         assert!(s.remote_l2_invalidations >= 14, "{s:?}");
         assert!(b.check_invariants());
-        assert!(b.node(0).unwrap().stats().external_invalidations_l1 > 0);
-        assert!(b.node(1).unwrap().stats().external_invalidations_l1 > 0);
+        assert!(b.node(0).unwrap().external_invalidations().0 > 0);
+        assert!(b.node(1).unwrap().external_invalidations().0 > 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | section       | model |
 //! |---------------|-------|
 //! | `[cache]`     | [`crate::cache::Cache`] (any placement/policy) |
-//! | `[hierarchy]` + `[[level]]` | generic [`crate::stack::Hierarchy`], or the §3 [`crate::hierarchy::TwoLevelHierarchy`] with `virtual-real = true` |
+//! | `[hierarchy]` + `[[level]]` | [`crate::stack::Hierarchy`]; with `virtual-real = true`, the §3 design: a virtually indexed L1 over a physical L2 |
 //! | `[column]`    | [`crate::column::ColumnAssociative`] |
 //! | `[victim]`    | one-level [`crate::stack::Hierarchy`] with a victim buffer |
 //! | `[stream]`    | one-level [`crate::stack::Hierarchy`] with stream buffers |
@@ -37,7 +37,6 @@ pub mod toml;
 
 use crate::cache::{Cache, WritePolicy};
 use crate::column::{ColumnAssociative, RehashKind};
-use crate::hierarchy::TwoLevelHierarchy;
 use crate::model::MemoryModel;
 use crate::replacement::ReplacementPolicy;
 use crate::stack::{Hierarchy, JouppiPart, LevelBuilder, LoadsOnly};
@@ -177,9 +176,10 @@ impl MappingConfig {
 pub struct HierarchyConfig {
     /// The levels, processor side first.
     pub levels: Vec<LevelConfig>,
-    /// `true` builds the paper's §3 virtual-real
-    /// [`TwoLevelHierarchy`] (exactly two levels, no sidecars);
-    /// `false` builds the generic physical [`Hierarchy`].
+    /// `true` builds the paper's §3 virtual-real design: a
+    /// [`Hierarchy`] of exactly two levels, no sidecars, whose L1 is
+    /// virtually indexed ([`crate::stack::HierarchyBuilder::virtual_l1`]);
+    /// `false` builds a physical [`Hierarchy`].
     pub virtual_real: bool,
     /// Inclusion enforcement (generic stacks only; the virtual-real
     /// hierarchy always enforces it).
@@ -490,6 +490,7 @@ impl SimConfig {
 }
 
 fn build_hierarchy(h: &HierarchyConfig) -> Result<Box<dyn MemoryModel>, Error> {
+    let mut b = Hierarchy::builder().inclusion(h.inclusion);
     if h.virtual_real {
         if h.levels.len() != 2 {
             return Err(Error::config(format!(
@@ -513,26 +514,17 @@ fn build_hierarchy(h: &HierarchyConfig) -> Result<Box<dyn MemoryModel>, Error> {
                  L2 write-back/write-allocate (§4); remove the write-policy overrides",
             ));
         }
-        Ok(Box::new(TwoLevelHierarchy::new(
-            l1.geometry,
-            l1.index.clone(),
-            l2.geometry,
-            l2.index.clone(),
-            h.mapping.mapper(),
-        )?))
-    } else {
-        if !matches!(h.mapping, MappingConfig::Identity) {
-            return Err(Error::config(
-                "page-mapping applies only to the virtual-real hierarchy (the generic \
-                 stack is physically addressed); set virtual-real = true",
-            ));
-        }
-        let mut b = Hierarchy::builder().inclusion(h.inclusion);
-        for level in &h.levels {
-            b = b.level(level.level_builder());
-        }
-        Ok(Box::new(b.build()?))
+        b = b.virtual_l1(h.mapping.mapper());
+    } else if !matches!(h.mapping, MappingConfig::Identity) {
+        return Err(Error::config(
+            "page-mapping applies only to the virtual-real hierarchy (the generic \
+             stack is physically addressed); set virtual-real = true",
+        ));
     }
+    for level in &h.levels {
+        b = b.level(level.level_builder());
+    }
+    Ok(Box::new(b.build()?))
 }
 
 // ---------------------------------------------------------------------
@@ -727,15 +719,30 @@ fn parse_hierarchy(doc: &toml::Doc) -> Result<HierarchyConfig, Error> {
             }
             MappingConfig::Identity
         }
-        Some("randomized") => MappingConfig::Randomized {
-            page_size,
-            memory: get_size(table, "memory", Some(256 << 20))?,
-            seed: get_u64(table, "seed", 42)?,
-        },
-        Some("aliased") => MappingConfig::Aliased {
-            page_size,
-            frames: get_u64(table, "frames", 16)?,
-        },
+        Some("randomized") => {
+            let memory = get_size(table, "memory", Some(256 << 20))?;
+            if !page_size.is_power_of_two() || memory == 0 || !memory.is_multiple_of(page_size) {
+                return Err(Error::config(format!(
+                    "page-size {page_size} must be a power of two and memory {memory} a \
+                     positive multiple of it (whole page frames, §3.1)"
+                )));
+            }
+            MappingConfig::Randomized {
+                page_size,
+                memory,
+                seed: get_u64(table, "seed", 42)?,
+            }
+        }
+        Some("aliased") => {
+            let frames = get_u64(table, "frames", 16)?;
+            if !page_size.is_power_of_two() || frames == 0 {
+                return Err(Error::config(format!(
+                    "page-size {page_size} must be a power of two and frames {frames} at \
+                     least 1 (aliases share a frame modulo the frame count, §3.3)"
+                )));
+            }
+            MappingConfig::Aliased { page_size, frames }
+        }
         Some(other) => {
             return Err(Error::config(format!(
                 "unknown page-mapping {other:?}; valid: identity, randomized, aliased"
@@ -979,6 +986,41 @@ mod tests {
             (
                 "[hierarchy]\n[[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"4KiB\"\n",
                 "Inclusion",
+            ),
+            // A virtual-real stack's geometry is checked as a physical
+            // one's is.
+            (
+                "[hierarchy]\nvirtual-real = true\n\
+                 [[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"4KiB\"\n",
+                "level 2 capacity 4096 < level 1 capacity 8192; Inclusion requires each \
+                 level to cover the one above it",
+            ),
+            (
+                "[hierarchy]\nvirtual-real = true\n\
+                 [[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\nline = 64\n",
+                "level 1 block size 32 != level 2 block size 64; all levels must share one \
+                 line size",
+            ),
+            // Page mappings the mapper cannot build.
+            (
+                "[hierarchy]\nvirtual-real = true\npage-mapping = \"randomized\"\n\
+                 page-size = 3000\n[[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\n",
+                "page-size 3000 must be a power of two",
+            ),
+            (
+                "[hierarchy]\nvirtual-real = true\npage-mapping = \"randomized\"\n\
+                 memory = 6000\n[[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\n",
+                "memory 6000 a positive multiple",
+            ),
+            (
+                "[hierarchy]\nvirtual-real = true\npage-mapping = \"aliased\"\n\
+                 frames = 0\n[[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\n",
+                "frames 0 at least 1",
+            ),
+            (
+                "[hierarchy]\nvirtual-real = true\npage-mapping = \"aliased\"\n\
+                 page-size = 3000\n[[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\n",
+                "page-size 3000 must be a power of two",
             ),
             ("[cache]\nsize = \"8KiB\"\n[stray]\nx = 1\n", "unknown"),
             // Zero-sized buffers, in the order the organization checks them.

@@ -15,23 +15,23 @@
 //!   a direct-mapped cache").
 //! * [`mshr::MshrFile`] — lockup-free-cache miss status holding registers
 //!   (Kroft), used by the out-of-order CPU model.
-//! * [`vm::PageMapper`] — virtual→physical page mappings so the two-level
-//!   hierarchy can index L1 virtually and L2 physically.
+//! * [`vm::PageMapper`] — virtual→physical page mappings so a
+//!   virtual-real hierarchy can index L1 virtually and L2 physically.
 //! * [`tlb::Tlb`] — a parametric set-associative TLB, for evaluating the
 //!   §3.1 *option 1* design (translate first, index the L1 physically).
 //! * [`pagesize::DynamicIndexCache`] — the §3.1 *option 2* controller:
 //!   I-Poly indexing enabled only while every mapped segment has pages at
 //!   or above a size threshold, with an L1 flush on every mode switch.
 //! * [`coherence::SnoopingBus`] — a write-invalidate snooping bus over
-//!   several two-level nodes, measuring the §3.3 *external coherency*
+//!   several virtual-real nodes, measuring the §3.3 *external coherency*
 //!   hole cause the paper sets aside.
-//! * [`hierarchy::TwoLevelHierarchy`] — the two-level **virtual-real**
-//!   hierarchy of Wang et al. that the paper adopts (§3.1–3.3): inclusion
-//!   enforcement, virtual-alias control, and measurement of the *holes*
-//!   the paper models analytically.
-//! * [`stack::Hierarchy`] — the generic N-level stack the virtual-real
-//!   design specializes, with victim/stream/MSHR structures attachable
-//!   to any level as sidecars. Jouppi's organizations (reference
+//! * [`stack::Hierarchy`] — the one hierarchy engine: an N-level stack
+//!   with Inclusion and victim/stream/MSHR structures attachable to any
+//!   level as sidecars. With a virtually indexed level 0
+//!   ([`stack::HierarchyBuilder::virtual_l1`]) it is the two-level
+//!   **virtual-real** hierarchy of Wang et al. that the paper adopts
+//!   (§3.1–3.3): virtual-alias control and measurement of the *holes*
+//!   the paper models analytically. Jouppi's organizations (reference
 //!   \[13\], which the paper's related work compares against) are
 //!   config sugar over it: `[victim]` is a modulo-indexed level with a
 //!   small fully-associative victim buffer, `[stream]` a level with
@@ -69,8 +69,8 @@
 //!   monomorphized for the cache's shape (ways ∈ {1, 2, 4} ×
 //!   replacement policy, plus the fully-associative engine);
 //! * whole traces replay through the batched APIs
-//!   ([`cache::Cache::run_trace`], [`hierarchy::TwoLevelHierarchy::run_trace`]),
-//!   which return per-trace [`CacheStats`] deltas that are byte-identical
+//!   ([`cache::Cache::run_trace`], [`model::MemoryModel::run_refs`]),
+//!   which return per-trace counter deltas that are byte-identical
 //!   to an equivalent per-op loop (`crates/sim/tests/replay_equivalence.rs`
 //!   holds the guards);
 //! * on-disk traces stream through [`replay`], which refills a reused
@@ -117,7 +117,6 @@ pub mod classify;
 pub mod coherence;
 pub mod column;
 pub mod config;
-pub mod hierarchy;
 pub mod journal;
 pub mod model;
 pub mod mshr;
@@ -134,8 +133,7 @@ pub use analytic::{AnalyticModel, StackHistogram};
 pub use cache::{Cache, CacheBuilder, WritePolicy};
 pub use classify::{MissKind, ThreeCClassifier};
 pub use config::SimConfig;
-pub use hierarchy::TwoLevelHierarchy;
 pub use model::{AccessOutcome, MemoryModel, ModelStats, ServicePoint};
-pub use stack::{Hierarchy, HierarchyBuilder, LevelBuilder};
+pub use stack::{Hierarchy, HierarchyBuilder, LevelBuilder, SnoopOutcome};
 pub use stats::CacheStats;
 pub use sweep::{sweep_refs, LruStackSweep, Sweep};

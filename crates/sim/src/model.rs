@@ -229,9 +229,8 @@ impl fmt::Display for ModelStats {
 
 /// One memory model: anything a reference stream can be replayed
 /// against. Implemented by [`crate::cache::Cache`],
-/// [`crate::hierarchy::TwoLevelHierarchy`], the generic
-/// [`crate::stack::Hierarchy`] (and the `[victim]`, `[stream]` and
-/// `[jouppi]` organizations built on it) and
+/// [`crate::stack::Hierarchy`] (and the virtual-real, `[victim]`,
+/// `[stream]` and `[jouppi]` organizations built on it) and
 /// [`crate::column::ColumnAssociative`].
 ///
 /// `Send` is a supertrait so a `Box<dyn MemoryModel>` can be handed to

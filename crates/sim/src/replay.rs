@@ -1,8 +1,7 @@
 //! Streaming trace replay: feed any [`ChunkSource`] through the batched
 //! simulation APIs.
 //!
-//! The batched entry points ([`Cache::run_trace`],
-//! [`TwoLevelHierarchy::run_trace`]) want whole traces, but external
+//! The batched entry point [`Cache::run_trace`] wants whole traces, but external
 //! traces can be much larger than memory. This module bridges the two:
 //! a caller-invisible chunk buffer is refilled from the source and
 //! drained through the batched path, so a multi-gigabyte on-disk binary
@@ -33,12 +32,8 @@
 //! ```
 
 use crate::cache::Cache;
-use crate::hierarchy::{HierarchyRun, TwoLevelHierarchy};
 use crate::stats::CacheStats;
-use cac_trace::io::{
-    BinaryTraceError, BinaryTraceReader, ChunkSource, RefSource, DEFAULT_CHUNK_OPS,
-};
-use std::io::Read;
+use cac_trace::io::{ChunkSource, RefSource, DEFAULT_CHUNK_OPS};
 
 /// Streams a trace through a single-level [`Cache`] in
 /// [`DEFAULT_CHUNK_OPS`]-sized batches; see [`run_cache_chunked`].
@@ -74,32 +69,17 @@ pub fn run_cache_chunked<S: ChunkSource>(
     Ok(total)
 }
 
-/// Streams a **binary** trace through a single-level [`Cache`] on the
+/// Streams any [`RefSource`] — a binary trace reader, a columnar
+/// corpus file — through a single-level [`Cache`] on the
 /// memory-reference fast path: records decode straight to `MemRef`
-/// chunks ([`BinaryTraceReader::read_ref_chunk`]), skipping the
-/// instruction fields cache-only replay never looks at, and each chunk
-/// replays through [`Cache::run_refs_slice`] — one kernel dispatch per
-/// chunk, so the streaming path inherits the same specialized probe
-/// kernels as in-memory replay.
+/// chunks of [`DEFAULT_CHUNK_OPS`], skipping the instruction fields
+/// cache-only replay never looks at, and each chunk replays through
+/// [`Cache::run_refs_slice`] — one kernel dispatch per chunk, so the
+/// streaming path inherits the same specialized probe kernels as
+/// in-memory replay.
 ///
 /// Counters are identical to [`run_cache`] on the same stream. This is
 /// the path `cac replay` and the `trace_streaming` benchmark use.
-///
-/// # Errors
-///
-/// Propagates decode/read errors from the reader. References decoded
-/// before the error remain applied (and counted in [`Cache::stats`]).
-pub fn run_cache_refs<R: Read>(
-    cache: &mut Cache,
-    reader: &mut BinaryTraceReader<R>,
-) -> Result<CacheStats, BinaryTraceError> {
-    run_cache_source(cache, reader)
-}
-
-/// Streams any [`RefSource`] through a single-level [`Cache`] in
-/// [`DEFAULT_CHUNK_OPS`]-sized reference batches — the generic sibling
-/// of [`run_cache_refs`] for columnar corpus files and other non-binary
-/// streams.
 ///
 /// # Errors
 ///
@@ -126,39 +106,6 @@ pub fn run_cache_source<S: RefSource>(
         }
     }
     Ok(cache.stats() - before)
-}
-
-/// Streams a trace through a [`TwoLevelHierarchy`] in
-/// [`DEFAULT_CHUNK_OPS`]-sized batches; see [`run_hierarchy_chunked`].
-///
-/// # Errors
-///
-/// Propagates the source's decode/read errors.
-pub fn run_hierarchy<S: ChunkSource>(
-    hierarchy: &mut TwoLevelHierarchy,
-    source: S,
-) -> Result<HierarchyRun, S::Error> {
-    run_hierarchy_chunked(hierarchy, source, DEFAULT_CHUNK_OPS)
-}
-
-/// Streams a trace through a [`TwoLevelHierarchy`] with an explicit
-/// chunk length; the two-level analogue of [`run_cache_chunked`].
-///
-/// # Errors
-///
-/// Propagates the source's decode/read errors.
-pub fn run_hierarchy_chunked<S: ChunkSource>(
-    hierarchy: &mut TwoLevelHierarchy,
-    mut source: S,
-    chunk_ops: usize,
-) -> Result<HierarchyRun, S::Error> {
-    let chunk_ops = chunk_ops.max(1);
-    let mut buf = Vec::with_capacity(chunk_ops);
-    let mut total = HierarchyRun::default();
-    while source.read_chunk(&mut buf, chunk_ops)? > 0 {
-        total = total + hierarchy.run_trace(buf.iter().copied());
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -195,7 +142,7 @@ mod tests {
         let a = run_cache(&mut via_ops, BinaryTraceReader::new(&bytes[..]).unwrap()).unwrap();
         let mut via_refs = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
         let mut reader = BinaryTraceReader::new(&bytes[..]).unwrap();
-        let b = run_cache_refs(&mut via_refs, &mut reader).unwrap();
+        let b = run_cache_source(&mut via_refs, &mut reader).unwrap();
         assert_eq!(a, b);
         assert_eq!(via_ops.stats(), via_refs.stats());
     }

@@ -4,8 +4,8 @@ use cac_core::{CacheGeometry, IndexSpec};
 use cac_sim::cache::{Cache, WritePolicy};
 use cac_sim::classify::ThreeCClassifier;
 use cac_sim::column::ColumnAssociative;
-use cac_sim::hierarchy::TwoLevelHierarchy;
 use cac_sim::model::MemoryModel;
+use cac_sim::stack::{Hierarchy, LevelBuilder};
 use cac_sim::vm::PageMapper;
 use cac_sim::SimConfig;
 use cac_trace::MemRef;
@@ -286,13 +286,15 @@ proptest! {
         ops in proptest::collection::vec((0usize..3, any::<u16>(), any::<bool>()), 1..500)
     ) {
         use cac_sim::coherence::SnoopingBus;
-        let node = || TwoLevelHierarchy::new(
-            CacheGeometry::new(1024, 32, 1).unwrap(),
-            IndexSpec::ipoly(),
-            CacheGeometry::new(4096, 32, 2).unwrap(),
-            IndexSpec::modulo(),
-            PageMapper::identity(),
-        ).unwrap();
+        let l1 = LevelBuilder::new(CacheGeometry::new(1024, 32, 1).unwrap())
+            .index_spec(IndexSpec::ipoly());
+        let l2 = LevelBuilder::new(CacheGeometry::new(4096, 32, 2).unwrap()).write_back();
+        let node = || Hierarchy::builder()
+            .virtual_l1(PageMapper::identity())
+            .level(l1.clone())
+            .level(l2.clone())
+            .build()
+            .unwrap();
         let mut bus = SnoopingBus::new(vec![node(), node(), node()]).unwrap();
         for &(n, a, w) in &ops {
             let va = u64::from(a) % (1 << 14);
@@ -319,19 +321,16 @@ proptest! {
     fn inclusion_invariant(addrs in proptest::collection::vec((any::<u32>(), any::<bool>()), 1..400)) {
         let l1 = CacheGeometry::new(1024, 32, 2).unwrap();
         let l2 = CacheGeometry::new(8192, 32, 2).unwrap();
-        let mut h = TwoLevelHierarchy::new(
-            l1,
-            IndexSpec::ipoly_skewed(),
-            l2,
-            IndexSpec::modulo(),
-            PageMapper::randomized(4096, 1 << 26, 11),
-        )
-        .unwrap();
+        let mut h = Hierarchy::builder()
+            .virtual_l1(PageMapper::randomized(4096, 1 << 26, 11))
+            .level(LevelBuilder::new(l1).index_spec(IndexSpec::ipoly_skewed()))
+            .level(LevelBuilder::new(l2).write_back())
+            .build()
+            .unwrap();
         for &(a, w) in &addrs {
             h.access(u64::from(a) % (1 << 22), w);
         }
         prop_assert!(h.check_inclusion());
-        let s = h.stats();
-        prop_assert!(s.holes_created <= s.inclusion_invalidations);
+        prop_assert!(h.holes_created() <= h.inclusion_invalidations());
     }
 }

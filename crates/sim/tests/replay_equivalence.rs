@@ -10,9 +10,7 @@
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
-use cac_sim::hierarchy::TwoLevelHierarchy;
 use cac_sim::replacement::ReplacementPolicy;
-use cac_sim::vm::PageMapper;
 use cac_trace::kernels::mem_refs;
 use cac_trace::spec::SpecBenchmark;
 use cac_trace::stride::VectorStride;
@@ -128,39 +126,8 @@ fn batched_replay_matches_per_op_loop_on_spec_models() {
 }
 
 #[test]
-fn hierarchy_batched_replay_matches_per_op_loop() {
-    let l1 = CacheGeometry::new(8 * 1024, 32, 2).unwrap();
-    let l2 = CacheGeometry::new(64 * 1024, 32, 2).unwrap();
-    let build = || {
-        TwoLevelHierarchy::new(
-            l1,
-            IndexSpec::ipoly_skewed(),
-            l2,
-            IndexSpec::modulo(),
-            PageMapper::randomized(4096, 1 << 26, 3),
-        )
-        .unwrap()
-    };
-    for bench in [SpecBenchmark::Tomcatv, SpecBenchmark::Compress] {
-        let mut batched = build();
-        let mut per_op = build();
-        let ops: Vec<_> = bench.generator(5).take(30_000).collect();
-        let run = batched.run_trace(ops.iter().copied());
-        for op in &ops {
-            if let Some(r) = op.mem_ref() {
-                per_op.access(r.addr, r.is_write);
-            }
-        }
-        assert_eq!(run.l1, per_op.l1_stats(), "{}", bench.name());
-        assert_eq!(run.l2, per_op.l2_stats(), "{}", bench.name());
-        assert_eq!(run.hierarchy, per_op.stats(), "{}", bench.name());
-        assert!(batched.check_inclusion());
-    }
-}
-
-#[test]
 fn binary_streaming_replay_is_byte_identical_to_in_memory() {
-    use cac_sim::replay::{run_cache_chunked, run_hierarchy_chunked};
+    use cac_sim::replay::run_cache_chunked;
     use cac_trace::io::{write_trace_binary, BinaryTraceReader};
 
     for bench in [SpecBenchmark::Tomcatv, SpecBenchmark::Gcc] {
@@ -182,28 +149,5 @@ fn binary_streaming_replay_is_byte_identical_to_in_memory() {
             rb.sort_unstable();
             assert_eq!(ra, rb, "{} contents diverge at chunk {chunk}", bench.name());
         }
-
-        // Two-level hierarchy: streamed run equals the in-memory run.
-        let l1 = paper_geom();
-        let l2 = CacheGeometry::new(64 * 1024, 32, 2).unwrap();
-        let build = || {
-            TwoLevelHierarchy::new(
-                l1,
-                IndexSpec::ipoly_skewed(),
-                l2,
-                IndexSpec::modulo(),
-                PageMapper::randomized(4096, 1 << 26, 3),
-            )
-            .unwrap()
-        };
-        let mut in_memory = build();
-        let expect = in_memory.run_trace(ops.iter().copied());
-        let mut streamed = build();
-        let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
-        let got = run_hierarchy_chunked(&mut streamed, reader, 1024).unwrap();
-        assert_eq!(got.l1, expect.l1, "{}", bench.name());
-        assert_eq!(got.l2, expect.l2, "{}", bench.name());
-        assert_eq!(got.hierarchy, expect.hierarchy, "{}", bench.name());
-        assert!(streamed.check_inclusion());
     }
 }

@@ -1184,7 +1184,7 @@ impl<R: Read> BinaryTraceReader<R> {
     /// buffer — the right shape when the consumer is a genuinely
     /// per-reference closure. Batched replay consumers should prefer
     /// [`read_ref_chunk`](BinaryTraceReader::read_ref_chunk) instead:
-    /// `cac_sim::replay::run_cache_refs` decodes chunks through it so
+    /// `cac_sim::replay::run_cache_source` decodes chunks through it so
     /// each chunk replays on the simulator's specialized probe kernels,
     /// which outruns the fused per-op loop.
     ///

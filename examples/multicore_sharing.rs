@@ -13,21 +13,21 @@
 
 use cac::core::{CacheGeometry, IndexSpec};
 use cac::sim::coherence::SnoopingBus;
-use cac::sim::hierarchy::TwoLevelHierarchy;
+use cac::sim::stack::{Hierarchy, LevelBuilder};
 use cac::sim::vm::PageMapper;
 
 const BUFFER: u64 = 0x10_0000; // shared 2KB buffer: 64 blocks
 const BLOCKS: u64 = 64;
 
 fn system(l1_spec: IndexSpec) -> Result<SnoopingBus, Box<dyn std::error::Error>> {
-    let node = || -> Result<TwoLevelHierarchy, cac::core::Error> {
-        TwoLevelHierarchy::new(
-            CacheGeometry::new(8 * 1024, 32, 2)?,
-            l1_spec.clone(),
-            CacheGeometry::new(256 * 1024, 32, 2)?,
-            IndexSpec::modulo(),
-            PageMapper::identity(),
-        )
+    let node = || -> Result<Hierarchy, cac::core::Error> {
+        Hierarchy::builder()
+            .virtual_l1(PageMapper::identity())
+            .level(
+                LevelBuilder::new(CacheGeometry::new(8 * 1024, 32, 2)?).index_spec(l1_spec.clone()),
+            )
+            .level(LevelBuilder::new(CacheGeometry::new(256 * 1024, 32, 2)?).write_back())
+            .build()
     };
     Ok(SnoopingBus::new(vec![node()?, node()?])?)
 }
@@ -66,15 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(bus.check_invariants(), "inclusion must hold");
         println!(
             "{name:<22} {:>14.2} {:>16} {:>16} {:>14.1}",
-            bus.node(CONSUMER).unwrap().l1_stats().miss_ratio() * 100.0,
-            bus.node(PRODUCER)
-                .unwrap()
-                .stats()
-                .external_invalidations_l1,
-            bus.node(CONSUMER)
-                .unwrap()
-                .stats()
-                .external_invalidations_l1,
+            bus.node(CONSUMER).unwrap().level(0).stats().miss_ratio() * 100.0,
+            bus.node(PRODUCER).unwrap().external_invalidations().0,
+            bus.node(CONSUMER).unwrap().external_invalidations().0,
             bus.stats().snoop_hit_rate() * 100.0,
         );
     }

@@ -510,3 +510,37 @@ fn hierarchy_reports_match_their_goldens() {
         assert!(out.stdout == want, "{args:?} differs from {golden}");
     }
 }
+
+/// Page mappings the mapper cannot build are config errors — exit 1
+/// from `config validate`, 3 from `run` — never a panic (exit 101).
+#[test]
+fn bad_page_mappings_are_config_errors() {
+    let dir = temp_dir("page-mapping");
+    for (i, mapping) in [
+        "page-mapping = \"randomized\"\npage-size = 3000\n",
+        "page-mapping = \"aliased\"\nframes = 0\n",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.toml"));
+        std::fs::write(
+            &path,
+            format!(
+                "[hierarchy]\nvirtual-real = true\n{mapping}\
+                 [[level]]\nsize = \"8KiB\"\n[[level]]\nsize = \"64KiB\"\n"
+            ),
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        let Some(out) = cac(&["config", "validate", path]) else {
+            break;
+        };
+        assert_eq!(out.status.code(), Some(1), "validate {mapping}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("page-size") || err.contains("frames"), "{err}");
+        let out = cac(&["run", "--config", path, "--ops", "1000"]).unwrap();
+        assert_eq!(out.status.code(), Some(3), "run {mapping}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -10,8 +10,8 @@ use cac::interleave::{stride_sweep, summarize, BankConfig, InterleavedMemory};
 use cac::sim::cache::Cache;
 use cac::sim::classify::{MissKind, ThreeCClassifier};
 use cac::sim::coherence::SnoopingBus;
-use cac::sim::hierarchy::TwoLevelHierarchy;
 use cac::sim::pagesize::{DynamicIndexCache, IndexMode, Segment};
+use cac::sim::stack::{Hierarchy, LevelBuilder};
 use cac::sim::vm::PageMapper;
 use cac::trace::kernels::mem_refs;
 use cac::trace::patterns::{CsrSpmv, FftButterfly, Stencil5, TiledMatMul};
@@ -188,14 +188,14 @@ fn option2_controller_follows_a_process_lifetime() {
 fn coherence_holes_are_index_function_independent() {
     let run = |spec: IndexSpec| -> (u64, f64) {
         let node = || {
-            TwoLevelHierarchy::new(
-                paper_geom(),
-                spec.clone(),
-                CacheGeometry::new(256 * 1024, 32, 2).unwrap(),
-                IndexSpec::modulo(),
-                PageMapper::identity(),
-            )
-            .unwrap()
+            Hierarchy::builder()
+                .virtual_l1(PageMapper::identity())
+                .level(LevelBuilder::new(paper_geom()).index_spec(spec.clone()))
+                .level(
+                    LevelBuilder::new(CacheGeometry::new(256 * 1024, 32, 2).unwrap()).write_back(),
+                )
+                .build()
+                .unwrap()
         };
         let mut bus = SnoopingBus::new(vec![node(), node()]).unwrap();
         for round in 0..64u64 {
@@ -214,10 +214,10 @@ fn coherence_holes_are_index_function_independent() {
             }
         }
         assert!(bus.check_invariants());
-        let holes = bus.node(0).unwrap().stats().external_invalidations_l1
-            + bus.node(1).unwrap().stats().external_invalidations_l1;
-        let miss = (bus.node(0).unwrap().l1_stats().miss_ratio()
-            + bus.node(1).unwrap().l1_stats().miss_ratio())
+        let holes = bus.node(0).unwrap().external_invalidations().0
+            + bus.node(1).unwrap().external_invalidations().0;
+        let miss = (bus.node(0).unwrap().level(0).stats().miss_ratio()
+            + bus.node(1).unwrap().level(0).stats().miss_ratio())
             / 2.0;
         (holes, miss)
     };

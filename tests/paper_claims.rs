@@ -6,7 +6,7 @@ use cac::core::{AddressPredictor, CacheGeometry, IndexSpec};
 use cac::gf2::xor_tree::{min_fan_in_poly, XorTree};
 use cac::sim::cache::Cache;
 use cac::sim::column::ColumnAssociative;
-use cac::sim::hierarchy::TwoLevelHierarchy;
+use cac::sim::stack::{Hierarchy, LevelBuilder};
 use cac::sim::vm::PageMapper;
 use cac::trace::kernels::mem_refs;
 use cac::trace::spec::SpecBenchmark;
@@ -109,14 +109,12 @@ fn holes_are_rare_with_a_big_l2() {
         SpecBenchmark::Gcc,
         SpecBenchmark::Compress,
     ] {
-        let mut h = TwoLevelHierarchy::new(
-            l1,
-            IndexSpec::ipoly_skewed(),
-            l2,
-            IndexSpec::modulo(),
-            PageMapper::randomized(4096, 1 << 30, 42),
-        )
-        .unwrap();
+        let mut h = Hierarchy::builder()
+            .virtual_l1(PageMapper::randomized(4096, 1 << 30, 42))
+            .level(LevelBuilder::new(l1).index_spec(IndexSpec::ipoly_skewed()))
+            .level(LevelBuilder::new(l2).write_back())
+            .build()
+            .unwrap();
         for r in mem_refs(b.generator(7).take(150_000)) {
             h.access(r.addr, r.is_write);
         }

@@ -1,11 +1,13 @@
 //! The out-of-order pipeline: dispatch → issue → execute → commit.
 //!
-//! The model is a cycle-driven scoreboard over a reorder buffer:
+//! The model is a scoreboard over a reorder buffer, stepped cycle by
+//! cycle but only through cycles in which something can happen:
 //!
 //! * **Dispatch** (4/cycle): takes instructions from the trace while ROB
 //!   space and physical registers allow. Branches are predicted here; a
 //!   misprediction stalls dispatch until the branch resolves (trace-driven
-//!   recovery model).
+//!   recovery model). An op that finds its register pool empty waits in a
+//!   one-slot fetch buffer, and dispatch stalls for the cycle.
 //! * **Issue** (4/cycle, oldest-first): an instruction issues when its
 //!   source producers have completed and its functional unit (Table 1)
 //!   and, for memory ops, an effective-address unit and memory port are
@@ -19,6 +21,33 @@
 //!   already resolved.
 //! * **Commit** (4/cycle, in order): stores write through to the cache at
 //!   commit, as §3.4 prescribes.
+//!
+//! # Scheduling
+//!
+//! The ROB is a ring indexed by dynamic instruction number, with one
+//! plain array per field. Three structures keep each cycle's work
+//! proportional to what can change in it:
+//!
+//! * **The waiting set** lists the ops that have not issued, oldest
+//!   first. Issue visits only these, never an op that already issued.
+//! * **Ready cycles.** Once all of a waiting op's producers have issued,
+//!   the op caches its ready cycle: the latest of their completions.
+//!   Issue checks that cycle before it looks at a functional unit or
+//!   port. A completion only moves when an ARB replay pushes a load
+//!   back, and every replay drops all cached ready cycles.
+//! * **In-flight stores** sit in their own age-ordered list, which is
+//!   all that store-to-load forwarding searches.
+//!
+//! A cycle is *dead* when it commits nothing, issues nothing, dispatches
+//! nothing and presents no load to the data cache. Nothing in the
+//! machine changes after a dead cycle until the earliest of: the ROB
+//! head's completion, a waiting op's ready cycle, a functional or
+//! effective-address unit's free time, or the end of a misprediction
+//! stall. The loop jumps straight there and charges the skipped cycles
+//! to the stall counter the dead cycle charged. A load refused for want
+//! of an MSHR makes its cycle live: the retry touches the cache
+//! statistics, the address predictor and the TLB, so it runs every
+//! cycle and is never skipped.
 
 use crate::bpred::BranchPredictor;
 use crate::config::CpuConfig;
@@ -28,25 +57,137 @@ use cac_core::Error;
 use cac_trace::record::{OpClass, TraceOp};
 use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Waiting,
-    Issued,
+/// The completion of an op that has not issued, and the ready cycle of
+/// an op whose producers have not all issued: "not known yet".
+const PENDING: u64 = u64::MAX;
+
+/// The producer of a source operand with no in-flight writer.
+const NO_PRODUCER: u64 = u64::MAX;
+
+/// ROB slots allocated up front; a larger ROB grows on demand.
+const INITIAL_ROB_SLOTS: usize = 4096;
+
+/// The reorder buffer: a ring indexed by dynamic instruction number,
+/// one plain array per field.
+#[derive(Debug)]
+struct Rob {
+    mask: u64,
+    class: Vec<OpClass>,
+    pc: Vec<u64>,
+    addr: Vec<u64>,
+    dst: Vec<Option<u8>>,
+    taken: Vec<bool>,
+    /// Dynamic indices of the in-flight producers of each source operand.
+    producers: Vec<[u64; 2]>,
+    /// Cycle the result is available; [`PENDING`] until the op issues.
+    completion: Vec<u64>,
+    mispredicted: Vec<bool>,
+    forwarded: Vec<bool>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    op: TraceOp,
-    idx: u64,
-    state: State,
-    completion: u64,
-    issued_at: u64,
-    /// Dynamic indices of in-flight producers of each source operand.
-    src_producers: [Option<u64>; 2],
-    mispredicted: bool,
-    forwarded: bool,
-    /// `addr & !7` for memory ops (ARB / forwarding granularity).
-    word: u64,
+impl Rob {
+    fn with_slots(slots: usize) -> Self {
+        let slots = slots.next_power_of_two();
+        Rob {
+            mask: slots as u64 - 1,
+            class: vec![OpClass::IntAlu; slots],
+            pc: vec![0; slots],
+            addr: vec![0; slots],
+            dst: vec![None; slots],
+            taken: vec![false; slots],
+            producers: vec![[NO_PRODUCER; 2]; slots],
+            completion: vec![PENDING; slots],
+            mispredicted: vec![false; slots],
+            forwarded: vec![false; slots],
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.mask as usize + 1
+    }
+
+    /// The slot of dynamic instruction `idx`.
+    #[inline]
+    fn at(&self, idx: u64) -> usize {
+        (idx & self.mask) as usize
+    }
+
+    /// Doubles the ring, keeping the live ops `head..next` at their
+    /// dynamic indices.
+    fn grow(&mut self, head: u64, next: u64) {
+        fn regrow<T: Copy>(
+            v: &mut Vec<T>,
+            old_mask: u64,
+            new_mask: u64,
+            live: std::ops::Range<u64>,
+        ) {
+            let mut grown = vec![v[0]; new_mask as usize + 1];
+            for idx in live {
+                grown[(idx & new_mask) as usize] = v[(idx & old_mask) as usize];
+            }
+            *v = grown;
+        }
+        let (old, new) = (self.mask, self.mask * 2 + 1);
+        regrow(&mut self.class, old, new, head..next);
+        regrow(&mut self.pc, old, new, head..next);
+        regrow(&mut self.addr, old, new, head..next);
+        regrow(&mut self.dst, old, new, head..next);
+        regrow(&mut self.taken, old, new, head..next);
+        regrow(&mut self.producers, old, new, head..next);
+        regrow(&mut self.completion, old, new, head..next);
+        regrow(&mut self.mispredicted, old, new, head..next);
+        regrow(&mut self.forwarded, old, new, head..next);
+        self.mask = new;
+    }
+}
+
+/// What dispatch did in one cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Front {
+    /// At least one op entered the ROB.
+    Progress,
+    /// The trace ran out.
+    TraceEnd,
+    /// Nothing entered: fetch waits on a mispredicted branch. The cycle
+    /// was charged to `fetch_stall_cycles`.
+    FetchStall,
+    /// Nothing entered: the ROB is full. The cycle was charged to
+    /// `rob_stall_cycles`.
+    RobStall,
+    /// Nothing entered and nothing was charged: the trace has ended, or
+    /// the buffered op waits for a physical register.
+    Idle,
+}
+
+impl Front {
+    /// `self` if nothing was dispatched this cycle, else `Progress`.
+    fn after(self, dispatched: u32) -> Front {
+        if dispatched == 0 {
+            self
+        } else {
+            Front::Progress
+        }
+    }
+}
+
+/// What happened to a ready op offered to its functional unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offer {
+    Issued,
+    /// Its unit, an EA unit or a memory port is taken this cycle.
+    Busy,
+    /// A load the data cache refused (every MSHR busy).
+    Blocked,
+}
+
+/// Claims a functional unit free at `fu` for `busy` cycles; returns the
+/// op's completion, or `None` if the unit is still busy.
+fn claim(fu: &mut u64, now: u64, busy: u64, latency: u64) -> Option<u64> {
+    if *fu > now {
+        return None;
+    }
+    *fu = now + busy;
+    Some(now + latency)
 }
 
 /// The processor model. Create with a [`CpuConfig`], drive with
@@ -56,11 +197,18 @@ pub struct Processor {
     config: CpuConfig,
     bpred: BranchPredictor,
     dcache: DataCache,
-    rob: VecDeque<Slot>,
+    rob: Rob,
+    /// Ops not yet issued, oldest first, each with its cached ready
+    /// cycle ([`PENDING`] until every producer has issued).
+    waiting: Vec<(u64, u64)>,
+    /// In-flight stores, oldest first.
+    stores: VecDeque<u64>,
+    /// An op taken from the trace that found no free physical register.
+    fetch_buffer: Option<TraceOp>,
     head_idx: u64,
     next_idx: u64,
     /// Latest in-flight writer of each architectural register.
-    reg_producer: [Option<u64>; 64],
+    reg_producer: [u64; 64],
     cycle: u64,
     /// Cycle at which dispatch may resume after a misprediction
     /// (`u64::MAX` while the offending branch has not issued yet).
@@ -82,10 +230,27 @@ impl Processor {
     ///
     /// # Errors
     ///
-    /// Propagates cache/placement validation errors; the physical register
-    /// files must be at least as large as the 32-entry architectural
-    /// files.
+    /// [`Error::OutOfRange`] if a width, the ROB, the memory ports or
+    /// the MSHRs are zero, or a physical register file is smaller than
+    /// the 32-entry architectural file; cache and placement validation
+    /// errors otherwise.
     pub fn new(config: CpuConfig) -> Result<Self, Error> {
+        for (what, v) in [
+            ("fetch width", u64::from(config.fetch_width)),
+            ("issue width", u64::from(config.issue_width)),
+            ("commit width", u64::from(config.commit_width)),
+            ("reorder-buffer entries", config.rob_entries as u64),
+            ("memory ports", u64::from(config.mem_ports)),
+            ("MSHRs", config.mshrs as u64),
+        ] {
+            if v == 0 {
+                return Err(Error::OutOfRange {
+                    what,
+                    value: v,
+                    constraint: ">= 1",
+                });
+            }
+        }
         for (what, v) in [
             ("int physical registers", config.int_phys_regs),
             ("fp physical registers", config.fp_phys_regs),
@@ -102,14 +267,18 @@ impl Processor {
         let bpred = BranchPredictor::new(config.bht_entries);
         let free_int_regs = config.int_phys_regs - 32;
         let free_fp_regs = config.fp_phys_regs - 32;
+        let slots = config.rob_entries.min(INITIAL_ROB_SLOTS);
         Ok(Processor {
             config,
             bpred,
             dcache,
-            rob: VecDeque::new(),
+            rob: Rob::with_slots(slots),
+            waiting: Vec::with_capacity(slots),
+            stores: VecDeque::with_capacity(slots),
+            fetch_buffer: None,
             head_idx: 0,
             next_idx: 0,
-            reg_producer: [None; 64],
+            reg_producer: [NO_PRODUCER; 64],
             cycle: 0,
             fetch_resume: 0,
             pending_branch: None,
@@ -144,13 +313,23 @@ impl Processor {
         let cycle_bound = self.cycle + 400 * max_instructions + 100_000;
         let mut trace_done = false;
         while self.stats.instructions < target {
-            self.commit();
-            self.issue();
-            trace_done = trace_done || !self.dispatch(&mut trace);
-            if trace_done && self.rob.is_empty() {
+            let committed = self.commit();
+            let wake = self.issue();
+            let front = if trace_done {
+                Front::Idle
+            } else {
+                self.dispatch(&mut trace)
+            };
+            trace_done = trace_done || front == Front::TraceEnd;
+            if trace_done && self.head_idx == self.next_idx {
                 break;
             }
-            self.cycle += 1;
+            let dead =
+                !committed && matches!(front, Front::FetchStall | Front::RobStall | Front::Idle);
+            self.cycle = match wake {
+                Some(wake) if dead => self.skip_dead_cycles(wake, front),
+                _ => self.cycle + 1,
+            };
             assert!(
                 self.cycle < cycle_bound,
                 "pipeline stopped making progress at cycle {}",
@@ -159,6 +338,45 @@ impl Processor {
         }
         self.snapshot_stats();
         self.stats
+    }
+
+    /// After a dead cycle, returns the first cycle in which something
+    /// can happen, charging the cycles in between to the stall counter
+    /// the dead cycle charged. `wake` is the earliest future ready cycle
+    /// of a waiting op.
+    fn skip_dead_cycles(&mut self, wake: u64, front: Front) -> u64 {
+        let now = self.cycle;
+        let head = if self.head_idx < self.next_idx {
+            self.rob.completion[self.rob.at(self.head_idx)]
+        } else {
+            PENDING
+        };
+        let next = [
+            wake,
+            head,
+            self.fu_simple_int,
+            self.fu_complex_int,
+            self.fu_ea[0],
+            self.fu_ea[1],
+            self.fu_fp_add,
+            self.fu_fp_mul,
+            self.fu_fp_div,
+            self.fetch_resume,
+        ]
+        .into_iter()
+        .filter(|&t| t > now)
+        .min()
+        .unwrap_or(PENDING);
+        if next == PENDING {
+            return now + 1;
+        }
+        let skipped = next - now - 1;
+        match front {
+            Front::FetchStall => self.stats.fetch_stall_cycles += skipped,
+            Front::RobStall => self.stats.rob_stall_cycles += skipped,
+            _ => {}
+        }
+        next
     }
 
     fn snapshot_stats(&mut self) {
@@ -185,243 +403,240 @@ impl Processor {
         &self.config
     }
 
-    fn commit(&mut self) {
+    /// Ops in the ROB.
+    fn rob_len(&self) -> usize {
+        (self.next_idx - self.head_idx) as usize
+    }
+
+    /// Retires up to `commit_width` completed ops from the ROB head.
+    /// Returns `true` if any retired.
+    fn commit(&mut self) -> bool {
         let mut committed = 0;
-        while committed < self.config.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if front.state != State::Issued || front.completion > self.cycle {
+        while committed < self.config.commit_width && self.head_idx < self.next_idx {
+            let idx = self.head_idx;
+            let s = self.rob.at(idx);
+            if self.rob.completion[s] > self.cycle {
                 break;
             }
-            let slot = self.rob.pop_front().expect("front exists");
             self.head_idx += 1;
             committed += 1;
             self.stats.instructions += 1;
-            match slot.op.class {
+            match self.rob.class[s] {
                 OpClass::Load => self.stats.loads += 1,
                 OpClass::Store => {
                     self.stats.stores += 1;
+                    self.stores.pop_front();
                     // Write-through at commit.
-                    self.dcache.store(slot.op.addr.unwrap_or(0));
+                    self.dcache.store(self.rob.addr[s]);
                 }
                 OpClass::Branch => self.stats.branches += 1,
                 _ => {}
             }
-            if slot.forwarded {
+            if self.rob.forwarded[s] {
                 self.stats.forwarded_loads += 1;
             }
-            if let Some(dst) = slot.op.dst {
+            if let Some(dst) = self.rob.dst[s] {
                 if dst >= 32 {
                     self.free_fp_regs += 1;
                 } else {
                     self.free_int_regs += 1;
                 }
-                if self.reg_producer[dst as usize] == Some(slot.idx) {
-                    self.reg_producer[dst as usize] = None;
+                if self.reg_producer[dst as usize] == idx {
+                    self.reg_producer[dst as usize] = NO_PRODUCER;
                 }
             }
         }
+        committed > 0
     }
 
-    /// `true` if the producer of an operand has completed by `cycle`.
-    fn producer_done(&self, producer: Option<u64>) -> bool {
-        match producer {
-            None => true,
-            Some(pidx) => {
-                if pidx < self.head_idx {
-                    return true; // committed
-                }
-                let pos = (pidx - self.head_idx) as usize;
-                match self.rob.get(pos) {
-                    None => true,
-                    Some(p) => p.state == State::Issued && p.completion <= self.cycle,
-                }
-            }
+    /// The cycle the result of `producer` is available: 0 once it has
+    /// committed (or for no producer), [`PENDING`] while it waits.
+    fn result_at(&self, producer: u64) -> u64 {
+        if producer == NO_PRODUCER || producer < self.head_idx {
+            0
+        } else {
+            self.rob.completion[self.rob.at(producer)]
         }
     }
 
-    fn issue(&mut self) {
+    /// The cycle all source operands of waiting op `idx` are available,
+    /// or [`PENDING`] while a producer has not issued.
+    fn ready_cycle(&self, idx: u64) -> u64 {
+        let [a, b] = self.rob.producers[self.rob.at(idx)];
+        self.result_at(a).max(self.result_at(b))
+    }
+
+    /// Issues up to `issue_width` ready ops, oldest first. Returns
+    /// `None` if an op issued or a load was presented to the data
+    /// cache; otherwise the earliest future ready cycle among the
+    /// waiting ops ([`PENDING`] if none is known).
+    fn issue(&mut self) -> Option<u64> {
+        let now = self.cycle;
         let mut issued = 0;
         let mut ports_used = 0;
-        for pos in 0..self.rob.len() {
-            if issued == self.config.issue_width {
-                break;
+        let mut live = false;
+        let mut wake = PENDING;
+        let len = self.waiting.len();
+        let (mut read, mut kept) = (0, 0);
+        while read < len && issued < self.config.issue_width {
+            let (idx, mut ready) = self.waiting[read];
+            read += 1;
+            if ready == PENDING {
+                ready = self.ready_cycle(idx);
             }
-            let slot = self.rob[pos];
-            if slot.state != State::Waiting {
-                continue;
-            }
-            if !self.producer_done(slot.src_producers[0])
-                || !self.producer_done(slot.src_producers[1])
-            {
-                continue;
-            }
-            let completion = match slot.op.class {
-                OpClass::IntAlu | OpClass::Branch => {
-                    if self.fu_simple_int > self.cycle {
+            if ready > now {
+                wake = wake.min(ready);
+            } else {
+                match self.offer(idx, &mut ports_used) {
+                    Offer::Issued => {
+                        issued += 1;
+                        live = true;
                         continue;
                     }
-                    self.fu_simple_int = self.cycle + 1;
-                    self.cycle + 1
-                }
-                OpClass::IntMul => {
-                    if self.fu_complex_int > self.cycle {
-                        continue;
-                    }
-                    self.fu_complex_int = self.cycle + 1; // pipelined
-                    self.cycle + 9
-                }
-                OpClass::IntDiv => {
-                    if self.fu_complex_int > self.cycle {
-                        continue;
-                    }
-                    self.fu_complex_int = self.cycle + 67; // unpipelined
-                    self.cycle + 67
-                }
-                OpClass::FpAdd => {
-                    if self.fu_fp_add > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_add = self.cycle + 1;
-                    self.cycle + 4
-                }
-                OpClass::FpMul => {
-                    if self.fu_fp_mul > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_mul = self.cycle + 1;
-                    self.cycle + 4
-                }
-                OpClass::FpDiv => {
-                    if self.fu_fp_div > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_div = self.cycle + 16;
-                    self.cycle + 16
-                }
-                OpClass::FpSqrt => {
-                    if self.fu_fp_div > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_div = self.cycle + 35;
-                    self.cycle + 35
-                }
-                OpClass::Load => {
-                    if ports_used == self.config.mem_ports {
-                        continue;
-                    }
-                    let Some(ea) = self.fu_ea.iter().position(|&f| f <= self.cycle) else {
-                        continue;
-                    };
-                    // Store-buffer forwarding: an older store to the same
-                    // word whose address is resolved.
-                    let mut forwarded = false;
-                    let mut bypass_ok = true;
-                    for p2 in (0..pos).rev() {
-                        let older = &self.rob[p2];
-                        if older.op.class == OpClass::Store
-                            && older.state == State::Issued
-                            && older.completion <= self.cycle
-                            && older.word == slot.word
-                        {
-                            forwarded = true;
-                            break;
-                        }
-                        // Unresolved store addresses are speculatively
-                        // bypassed (ARB): note and continue.
-                        if older.op.class == OpClass::Store && older.state == State::Waiting {
-                            bypass_ok = true;
-                        }
-                    }
-                    let _ = bypass_ok;
-                    let addr_ready = self.cycle + 1; // EA unit
-                    let completion = if forwarded {
-                        addr_ready + 1
-                    } else {
-                        match self
-                            .dcache
-                            .load(slot.op.pc, slot.op.addr.unwrap_or(0), addr_ready)
-                        {
-                            LoadResponse::Ready { at, .. } => at,
-                            LoadResponse::Blocked => continue, // retry next cycle
-                        }
-                    };
-                    self.fu_ea[ea] = self.cycle + 1;
-                    ports_used += 1;
-                    let s = &mut self.rob[pos];
-                    s.state = State::Issued;
-                    s.issued_at = self.cycle;
-                    s.completion = completion;
-                    s.forwarded = forwarded;
-                    issued += 1;
-                    continue;
-                }
-                OpClass::Store => {
-                    if ports_used == self.config.mem_ports {
-                        continue;
-                    }
-                    let Some(ea) = self.fu_ea.iter().position(|&f| f <= self.cycle) else {
-                        continue;
-                    };
-                    self.fu_ea[ea] = self.cycle + 1;
-                    ports_used += 1;
-                    let completion = self.cycle + 1; // address resolved
-                                                     // ARB: younger loads to the same word that already
-                                                     // issued must replay.
-                    for p2 in pos + 1..self.rob.len() {
-                        let replay_to = completion + 2;
-                        let younger = &mut self.rob[p2];
-                        if younger.op.class == OpClass::Load
-                            && younger.state == State::Issued
-                            && younger.word == slot.word
-                            && younger.issued_at < completion
-                        {
-                            younger.completion = younger.completion.max(replay_to);
-                            younger.forwarded = true;
-                            self.stats.memory_violations += 1;
-                        }
-                    }
-                    let s = &mut self.rob[pos];
-                    s.state = State::Issued;
-                    s.issued_at = self.cycle;
-                    s.completion = completion;
-                    issued += 1;
-                    continue;
-                }
-            };
-            // Non-memory op issued.
-            if slot.op.class == OpClass::Branch {
-                self.bpred.update(slot.op.pc, slot.op.taken);
-                if slot.mispredicted && self.pending_branch == Some(slot.idx) {
-                    self.fetch_resume = completion + 1;
-                    self.pending_branch = None;
+                    Offer::Blocked => live = true,
+                    Offer::Busy => {}
                 }
             }
-            let s = &mut self.rob[pos];
-            s.state = State::Issued;
-            s.issued_at = self.cycle;
-            s.completion = completion;
-            issued += 1;
+            self.waiting[kept] = (idx, ready);
+            kept += 1;
+        }
+        self.waiting.copy_within(read..len, kept);
+        self.waiting.truncate(kept + len - read);
+        if live {
+            None
+        } else {
+            Some(wake)
         }
     }
 
-    /// Dispatches up to `fetch_width` instructions. Returns `false` when
-    /// the trace is exhausted.
-    fn dispatch<I: Iterator<Item = TraceOp>>(&mut self, trace: &mut I) -> bool {
+    /// Offers ready op `idx` to its functional unit and, for memory ops,
+    /// an EA unit and a memory port.
+    fn offer(&mut self, idx: u64, ports_used: &mut u32) -> Offer {
+        let now = self.cycle;
+        let s = self.rob.at(idx);
+        let class = self.rob.class[s];
+        let completion = match class {
+            OpClass::IntAlu | OpClass::Branch => claim(&mut self.fu_simple_int, now, 1, 1),
+            OpClass::IntMul => claim(&mut self.fu_complex_int, now, 1, 9), // pipelined
+            OpClass::IntDiv => claim(&mut self.fu_complex_int, now, 67, 67), // unpipelined
+            OpClass::FpAdd => claim(&mut self.fu_fp_add, now, 1, 4),
+            OpClass::FpMul => claim(&mut self.fu_fp_mul, now, 1, 4),
+            OpClass::FpDiv => claim(&mut self.fu_fp_div, now, 16, 16),
+            OpClass::FpSqrt => claim(&mut self.fu_fp_div, now, 35, 35),
+            OpClass::Load | OpClass::Store => {
+                if *ports_used == self.config.mem_ports {
+                    return Offer::Busy;
+                }
+                let Some(ea) = self.fu_ea.iter().position(|&f| f <= now) else {
+                    return Offer::Busy;
+                };
+                let completion = if class == OpClass::Load {
+                    match self.load(idx) {
+                        Some(at) => at,
+                        None => return Offer::Blocked, // retry next cycle
+                    }
+                } else {
+                    self.resolve_store(idx)
+                };
+                self.fu_ea[ea] = now + 1;
+                *ports_used += 1;
+                Some(completion)
+            }
+        };
+        let Some(completion) = completion else {
+            return Offer::Busy;
+        };
+        if class == OpClass::Branch {
+            self.bpred.update(self.rob.pc[s], self.rob.taken[s]);
+            if self.rob.mispredicted[s] && self.pending_branch == Some(idx) {
+                self.fetch_resume = completion + 1;
+                self.pending_branch = None;
+            }
+        }
+        self.rob.completion[s] = completion;
+        Offer::Issued
+    }
+
+    /// Completes load `idx` by store-buffer forwarding from an older
+    /// store to the same word whose address is resolved, or else from
+    /// the data cache. Returns its completion, or `None` when every MSHR
+    /// is busy.
+    fn load(&mut self, idx: u64) -> Option<u64> {
+        let now = self.cycle;
+        let s = self.rob.at(idx);
+        let word = self.rob.addr[s] & !7;
+        let rob = &self.rob;
+        let forwarded = self
+            .stores
+            .iter()
+            .take_while(|&&store| store < idx)
+            .any(|&store| {
+                let t = rob.at(store);
+                rob.completion[t] <= now && rob.addr[t] & !7 == word
+            });
+        let addr_ready = now + 1; // EA unit
+        let at = if forwarded {
+            addr_ready + 1
+        } else {
+            match self
+                .dcache
+                .load(self.rob.pc[s], self.rob.addr[s], addr_ready)
+            {
+                LoadResponse::Ready { at, .. } => at,
+                LoadResponse::Blocked => return None,
+            }
+        };
+        self.rob.forwarded[s] = forwarded;
+        Some(at)
+    }
+
+    /// Resolves the address of store `idx` and returns its completion.
+    /// ARB: younger loads to the same word that already issued replay.
+    /// Every such load issued no later than this cycle, so before the
+    /// address resolved.
+    fn resolve_store(&mut self, idx: u64) -> u64 {
+        let completion = self.cycle + 1; // address resolved
+        let word = self.rob.addr[self.rob.at(idx)] & !7;
+        let mut replayed = false;
+        for younger in idx + 1..self.next_idx {
+            let t = self.rob.at(younger);
+            if self.rob.class[t] == OpClass::Load
+                && self.rob.completion[t] != PENDING
+                && self.rob.addr[t] & !7 == word
+            {
+                self.rob.completion[t] = self.rob.completion[t].max(completion + 2);
+                self.rob.forwarded[t] = true;
+                self.stats.memory_violations += 1;
+                replayed = true;
+            }
+        }
+        if replayed {
+            // A replayed load's consumers may have cached its old
+            // completion.
+            for entry in &mut self.waiting {
+                entry.1 = PENDING;
+            }
+        }
+        completion
+    }
+
+    /// Dispatches up to `fetch_width` instructions.
+    fn dispatch<I: Iterator<Item = TraceOp>>(&mut self, trace: &mut I) -> Front {
         if self.cycle < self.fetch_resume {
             self.stats.fetch_stall_cycles += 1;
-            return true;
+            return Front::FetchStall;
         }
         let mut dispatched = 0;
         while dispatched < self.config.fetch_width {
-            if self.rob.len() == self.config.rob_entries {
+            if self.rob_len() == self.config.rob_entries {
                 self.stats.rob_stall_cycles += 1;
-                return true;
+                return Front::RobStall.after(dispatched);
             }
             if self.cycle < self.fetch_resume {
-                return true; // mispredicted branch just dispatched
+                return Front::Progress; // mispredicted branch just dispatched
             }
-            let Some(op) = trace.next() else {
-                return false;
+            let Some(op) = self.fetch_buffer.take().or_else(|| trace.next()) else {
+                return Front::TraceEnd;
             };
             // Rename: claim a physical register for the destination.
             if let Some(dst) = op.dst {
@@ -431,37 +646,21 @@ impl Processor {
                     &mut self.free_int_regs
                 };
                 if *pool == 0 {
-                    // No free register: in a real machine the op would sit
-                    // in the fetch queue; retrying next cycle is
-                    // equivalent at this fidelity. The op must not be
-                    // lost, so stash it by pushing into the ROB anyway is
-                    // wrong — instead we model the (rare, given ROB <=
-                    // free regs in the paper's configuration) case as a
-                    // single-cycle stall by ending dispatch. The op is
-                    // re-fetched because `trace` is only advanced here.
-                    // Since the iterator cannot be rewound, treat this as
-                    // unreachable for valid configurations.
-                    debug_assert!(
-                        false,
-                        "physical registers exhausted; configuration has fewer phys regs than ROB entries"
-                    );
-                    return true;
+                    self.fetch_buffer = Some(op);
+                    return Front::Idle.after(dispatched);
                 }
                 *pool -= 1;
             }
-            let src_producers = [
-                op.srcs[0]
-                    .filter(|&r| r != 0)
-                    .and_then(|r| self.reg_producer[r as usize]),
-                op.srcs[1]
-                    .filter(|&r| r != 0)
-                    .and_then(|r| self.reg_producer[r as usize]),
-            ];
+            let producer = |r: Option<u8>| match r {
+                Some(r) if r != 0 => self.reg_producer[r as usize],
+                _ => NO_PRODUCER,
+            };
+            let producers = [producer(op.srcs[0]), producer(op.srcs[1])];
             let idx = self.next_idx;
             self.next_idx += 1;
             if let Some(dst) = op.dst {
                 if dst != 0 {
-                    self.reg_producer[dst as usize] = Some(idx);
+                    self.reg_producer[dst as usize] = idx;
                 }
             }
             let mut mispredicted = false;
@@ -473,20 +672,26 @@ impl Processor {
                     self.pending_branch = Some(idx);
                 }
             }
-            self.rob.push_back(Slot {
-                op,
-                idx,
-                state: State::Waiting,
-                completion: 0,
-                issued_at: 0,
-                src_producers,
-                mispredicted,
-                forwarded: false,
-                word: op.addr.map_or(0, |a| a & !7),
-            });
+            if self.rob_len() > self.rob.slots() {
+                self.rob.grow(self.head_idx, idx);
+            }
+            let s = self.rob.at(idx);
+            self.rob.class[s] = op.class;
+            self.rob.pc[s] = op.pc;
+            self.rob.addr[s] = op.addr.unwrap_or(0);
+            self.rob.dst[s] = op.dst;
+            self.rob.taken[s] = op.taken;
+            self.rob.producers[s] = producers;
+            self.rob.completion[s] = PENDING;
+            self.rob.mispredicted[s] = mispredicted;
+            self.rob.forwarded[s] = false;
+            self.waiting.push((idx, PENDING));
+            if op.class == OpClass::Store {
+                self.stores.push_back(idx);
+            }
             dispatched += 1;
         }
-        true
+        Front::Progress
     }
 }
 
@@ -705,5 +910,66 @@ mod tests {
         let mut c = CpuConfig::paper_baseline(IndexSpec::modulo()).unwrap();
         c.int_phys_regs = 16;
         assert!(Processor::new(c).is_err());
+    }
+
+    #[test]
+    fn rename_stall_holds_the_op_until_a_register_frees() {
+        // A 64-entry ROB over 32 free registers per pool: behind each
+        // 16-cycle divide, 63 independent int ops exhaust the int pool
+        // with ROB space to spare. Every op must still commit.
+        let mut c = CpuConfig::paper_baseline(IndexSpec::modulo()).unwrap();
+        c.rob_entries = 64;
+        let ops: Vec<TraceOp> = (0..2000u64)
+            .map(|i| {
+                if i % 64 == 0 {
+                    TraceOp::compute(0x700, OpClass::FpDiv, 33, [None, None])
+                } else {
+                    let dst = 1 + (i % 31) as u8;
+                    TraceOp::compute(0x704 + (i % 64) * 4, OpClass::IntAlu, dst, [None, None])
+                }
+            })
+            .collect();
+        let mut p = Processor::new(c).unwrap();
+        let s = p.run(ops.into_iter(), 4000);
+        assert_eq!(s.instructions, 2000);
+    }
+
+    fn rejects_zero(field: &str, zero: impl FnOnce(&mut CpuConfig)) {
+        let mut c = CpuConfig::paper_baseline(IndexSpec::modulo()).unwrap();
+        zero(&mut c);
+        match Processor::new(c) {
+            Err(Error::OutOfRange { what, value: 0, .. }) => assert_eq!(what, field),
+            other => panic!("{field} = 0: expected OutOfRange, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_zero_fetch_width() {
+        rejects_zero("fetch width", |c| c.fetch_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_issue_width() {
+        rejects_zero("issue width", |c| c.issue_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_commit_width() {
+        rejects_zero("commit width", |c| c.commit_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_rob_entries() {
+        rejects_zero("reorder-buffer entries", |c| c.rob_entries = 0);
+    }
+
+    #[test]
+    fn rejects_zero_mem_ports() {
+        rejects_zero("memory ports", |c| c.mem_ports = 0);
+    }
+
+    #[test]
+    fn rejects_zero_mshrs() {
+        rejects_zero("MSHRs", |c| c.mshrs = 0);
     }
 }

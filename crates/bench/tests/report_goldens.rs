@@ -1,6 +1,7 @@
 //! Whole-report goldens: experiments run in-process through
 //! `driver::run_experiment`, rendered as JSON and compared byte for
-//! byte against `tests/golden/report_*.json` at the repository root.
+//! byte against `tests/golden/report_*.json` and `run_*.json` at the
+//! repository root.
 //!
 //! Running in-process means the check always exercises the code under
 //! test — never a stale `cac` binary, and never a silent skip. There is
@@ -17,10 +18,18 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn assert_matches_golden(experiment: &str, args: &[&str], golden: &str) {
+    let got = render_json(experiment, args);
+    assert_json_matches(&got, experiment, args, golden);
+}
+
+fn render_json(experiment: &str, args: &[&str]) -> String {
     let words: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
     let report = driver::run_experiment(experiment, &words)
         .unwrap_or_else(|e| panic!("{experiment} {args:?}: {e}"));
-    let got = report.render(OutputFormat::Json);
+    report.render(OutputFormat::Json)
+}
+
+fn assert_json_matches(got: &str, experiment: &str, args: &[&str], golden: &str) {
     let path = golden_path(golden);
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert!(got == want, "{experiment} {args:?} differs from {golden}");
@@ -63,4 +72,37 @@ fn hierarchy_reports_match_their_goldens() {
     assert_matches_golden("holes", &["--ops", "200000"], "report_holes.json");
     assert_matches_golden("coherency", &[], "report_coherency.json");
     assert_matches_golden("ablation-l2-index", &[], "report_ablation_l2_index.json");
+}
+
+/// `cac run` over the shipped sidecar and virtual-real configs: the
+/// organizations built on `stack::Hierarchy`. The `notes` field carries
+/// timings, so it is dropped before comparing.
+#[test]
+fn run_reports_match_their_goldens() {
+    // The report records the config path as given; the goldens were
+    // recorded from the repository root.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::env::set_current_dir(&root).expect("repository root");
+    for name in [
+        "victim",
+        "stream_buffers",
+        "jouppi",
+        "three_level_sidecars",
+        "ipoly_two_level",
+    ] {
+        let config = format!("examples/{name}.toml");
+        let args = [
+            "--config",
+            config.as_str(),
+            "--bench",
+            "tomcatv",
+            "--ops",
+            "100000",
+        ];
+        let json = render_json("run", &args);
+        let notes = json.find(",\"notes\":[").expect("run report has notes");
+        assert!(json.ends_with("]}"), "{name}: notes are not the last field");
+        let got = format!("{}}}", &json[..notes]);
+        assert_json_matches(&got, "run", &args, &format!("run_{name}.json"));
+    }
 }

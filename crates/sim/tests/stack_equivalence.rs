@@ -8,13 +8,17 @@
 //!
 //! * the `[victim]`, `[stream]` and `[jouppi]` organizations, one-level
 //!   stacks with victim and/or stream sidecars;
+//! * the three-level physical stack of `examples/three_level_sidecars.toml`:
+//!   victim, stream and MSHR sidecars at L1 over write-back L2 and L3,
+//!   with Inclusion;
 //! * the §3 virtual-real hierarchy (`[hierarchy] virtual-real = true`),
 //!   a virtually indexed L1 over a physical L2, under randomized,
 //!   aliased and identity page mappings — hole, alias and Inclusion
 //!   accounting included.
 //!
-//! The reference types cannot come back, so the goldens cannot be
-//! regenerated: a mismatch is a behaviour change.
+//! The three-level golden was recorded from the stack engine itself,
+//! before its chunk kernel existed; the rest from the types the stack
+//! replaced. None can be regenerated: a mismatch is a behaviour change.
 
 use cac_sim::model::{AccessOutcome, ServicePoint};
 use cac_sim::SimConfig;
@@ -71,8 +75,9 @@ impl Fnv {
 /// Replays `cfg` over every SPEC model through [`SimConfig::build`] and
 /// renders the golden text: `describe()`, the full `ModelStats`
 /// (demand, components, extras, in order) and the outcome digest.
-/// A second instance replays the same references through chunked
-/// `run_refs` and must end with identical counters.
+/// Further instances replay the same references through chunked
+/// `run_refs` at chunk sizes 1, 7 and 4096 and must end with identical
+/// counters, so a batched kernel is checked at every chunk boundary.
 fn render(cfg: &SimConfig, with_evicted: bool) -> String {
     let mut out = format!("ops {GOLDEN_OPS} seed {GOLDEN_SEED}\n");
     for b in SpecBenchmark::all() {
@@ -83,16 +88,18 @@ fn render(cfg: &SimConfig, with_evicted: bool) -> String {
             digest.outcome(&model.access(r), with_evicted);
         }
         let stats = model.stats();
-        let mut batched = cfg.build().expect("golden config builds");
-        for chunk in refs.chunks(4096) {
-            batched.run_refs(chunk);
+        for chunk_size in [1, 7, 4096] {
+            let mut batched = cfg.build().expect("golden config builds");
+            for chunk in refs.chunks(chunk_size) {
+                batched.run_refs(chunk);
+            }
+            assert_eq!(
+                batched.stats(),
+                stats,
+                "{}: run_refs in chunks of {chunk_size} != access loop",
+                b.name()
+            );
         }
-        assert_eq!(
-            batched.stats(),
-            stats,
-            "{}: run_refs != access loop",
-            b.name()
-        );
 
         writeln!(out, "model {}", b.name()).unwrap();
         writeln!(out, "describe {}", model.describe()).unwrap();
@@ -172,6 +179,15 @@ fn jouppi_with_8_victim_lines_and_2x8_streams_matches_its_golden() {
         "[jouppi]\nsize = \"8KiB\"\nvictim-lines = 8\nstream-buffers = 2\nstream-depth = 8\n",
     );
     assert_golden("jouppi_v8_s2x8", &cfg, true);
+}
+
+#[test]
+fn shipped_three_level_sidecars_config_matches_its_golden() {
+    assert_golden(
+        "three_level_sidecars",
+        &example("three_level_sidecars.toml"),
+        true,
+    );
 }
 
 #[test]

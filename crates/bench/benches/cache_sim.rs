@@ -9,8 +9,9 @@
 //! the batched `run_refs` API over a pre-materialised trace — the form
 //! the experiment drivers use. `stack_distance` times the one-pass LRU
 //! stack sweep on shallow, deep and stride-collapsed stacks.
-//! `sidecar_orgs` replays the victim, stream-buffer, Jouppi and
-//! three-level sidecar configs.
+//! `sidecar_orgs` replays the victim, stream-buffer, Jouppi,
+//! three-level sidecar and virtual-real two-level configs: the layer
+//! benchmark of the `stack::Hierarchy` chunk kernel.
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
@@ -372,9 +373,10 @@ fn bench_stack_distance(c: &mut Criterion) {
 }
 
 /// The Jouppi organizations (`[victim]`, `[stream]`, `[jouppi]`, each a
-/// one-level `stack::Hierarchy` with sidecars) and the three-level
-/// sidecar stack, built from the shipped configs and replayed over one
-/// tomcatv trace, as `cac run --config` drives them.
+/// one-level `stack::Hierarchy` with sidecars), the three-level sidecar
+/// stack and the virtual-real two-level stack, built from the shipped
+/// configs and replayed over one tomcatv trace, as `cac run --config`
+/// drives them.
 fn bench_sidecar_orgs(c: &mut Criterion) {
     use cac_sim::SimConfig;
     use cac_trace::kernels::mem_refs;
@@ -383,7 +385,13 @@ fn bench_sidecar_orgs(c: &mut Criterion) {
     let refs: Vec<MemRef> = mem_refs(SpecBenchmark::Tomcatv.generator(7).take(300_000)).collect();
     let mut group = c.benchmark_group("sidecar_orgs");
     group.throughput(Throughput::Elements(refs.len() as u64));
-    for name in ["victim", "stream_buffers", "jouppi", "three_level_sidecars"] {
+    for name in [
+        "victim",
+        "stream_buffers",
+        "jouppi",
+        "three_level_sidecars",
+        "ipoly_two_level",
+    ] {
         let path = format!("{}/../../examples/{name}.toml", env!("CARGO_MANIFEST_DIR"));
         let cfg = SimConfig::load(&path).unwrap();
         group.bench_function(name, |b| {

@@ -1,15 +1,14 @@
 //! O(1) fully-associative lookup: an open-addressing tag map plus an
 //! intrusive recency list.
 //!
-//! Several structures in this crate are fully associative — the
-//! degenerate one-set [`crate::cache::Cache`] geometry the paper's
-//! miss-ratio comparisons use as their reference curve, the victim
-//! buffers of Jouppi's organization, and a TLB configured with as many
-//! ways as entries. Probing them by scanning every way costs O(ways)
-//! per access, and victim selection by scanning every stamp costs
-//! another O(ways); for the 256-line fully-associative 8KB model that
-//! made it ~3× slower than every set-associative configuration in the
-//! same sweep.
+//! Two structures in this crate are fully associative and can be large
+//! — the degenerate one-set [`crate::cache::Cache`] geometry the paper's
+//! miss-ratio comparisons use as their reference curve, and a TLB
+//! configured with as many ways as entries. Probing them by scanning
+//! every way costs O(ways) per access, and victim selection by scanning
+//! every stamp costs another O(ways); for the 256-line
+//! fully-associative 8KB model that made it ~3× slower than every
+//! set-associative configuration in the same sweep.
 //!
 //! [`AssocIndex`] replaces both scans:
 //!
@@ -331,96 +330,6 @@ impl AssocIndex {
     }
 }
 
-/// A bounded FIFO set of block addresses with O(1) membership tests:
-/// the shape of every victim buffer in this crate (Jouppi's is 4
-/// entries, but ablations can make them large). Pushing beyond capacity
-/// drops the oldest entry; a membership hit removes the entry (victim
-/// buffers swap their line back into the cache).
-///
-/// # Example
-///
-/// ```
-/// use cac_sim::assoc::VictimQueue;
-///
-/// let mut q = VictimQueue::new(2);
-/// assert_eq!(q.push(1), None);
-/// assert_eq!(q.push(2), None);
-/// assert_eq!(q.push(3), Some(1), "oldest entry dropped at capacity");
-/// assert!(q.take(2));
-/// assert!(!q.take(2), "a hit removes the entry");
-/// ```
-#[derive(Debug, Clone)]
-pub struct VictimQueue {
-    index: AssocIndex,
-}
-
-impl VictimQueue {
-    /// Creates a queue holding at most `capacity` blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        VictimQueue {
-            index: AssocIndex::new(capacity),
-        }
-    }
-
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.index.capacity()
-    }
-
-    /// Current entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// `true` when no block is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Removes `block` if buffered; `true` on a hit.
-    #[inline]
-    pub fn take(&mut self, block: u64) -> bool {
-        match self.index.get(block) {
-            Some(slot) => {
-                self.index.remove_slot(slot);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Buffers `block`, returning the entry pushed out the far (oldest)
-    /// end if the queue was full. `block` must not already be buffered
-    /// (victim buffers hold lines *not* resident in their cache, so a
-    /// duplicate push is a caller bug; debug-asserted).
-    pub fn push(&mut self, block: u64) -> Option<u64> {
-        let dropped = if self.index.is_full() {
-            let oldest = self.index.victim_slot();
-            let key = self.index.key_at(oldest);
-            self.index.remove_slot(oldest);
-            Some(key)
-        } else {
-            None
-        };
-        self.index.insert(block);
-        dropped
-    }
-
-    /// Drops `block` without reporting a hit (inclusion invalidations).
-    pub fn invalidate(&mut self, block: u64) {
-        self.take(block);
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.index.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,23 +469,6 @@ mod tests {
         for (&k, &slot) in &shadow {
             assert_eq!(idx.get(k), Some(slot));
         }
-    }
-
-    #[test]
-    fn victim_queue_is_a_fifo_set() {
-        let mut q = VictimQueue::new(4);
-        for b in [10, 20, 30, 40] {
-            assert_eq!(q.push(b), None);
-        }
-        assert_eq!(q.push(50), Some(10));
-        assert!(q.take(30));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.push(60), None);
-        assert_eq!(q.push(70), Some(20));
-        q.invalidate(40);
-        assert!(!q.take(40));
-        q.clear();
-        assert!(q.is_empty() && !q.take(50));
     }
 
     #[test]

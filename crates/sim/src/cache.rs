@@ -364,10 +364,7 @@ impl Cache {
     /// counts (direct-mapped probes are a single load/compare); the
     /// fully-associative engine and other shapes take the generic path.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Access {
-        if self.assoc.is_some() {
-            return self.access_generic(addr, is_write);
-        }
-        match self.ways {
+        match self.kernel_ways() {
             1 => self.access_ways::<1>(addr, is_write),
             2 => self.access_ways::<2>(addr, is_write),
             4 => self.access_ways::<4>(addr, is_write),
@@ -375,11 +372,25 @@ impl Cache {
         }
     }
 
+    /// The way count [`Cache::access_ways`] may be monomorphized for:
+    /// 1, 2 or 4, or 0 when only the generic path fits (other way
+    /// counts and the fully-associative engine). Chunk kernels of
+    /// organizations built around a cache dispatch on it once per chunk.
+    pub(crate) fn kernel_ways(&self) -> usize {
+        match self.ways {
+            1 | 2 | 4 if self.assoc.is_none() => self.ways,
+            _ => 0,
+        }
+    }
+
     /// [`Cache::access`] with the way count baked in: the probe is
     /// unrolled and the fill path reuses the per-way sets the probe
-    /// already derived.
-    #[inline]
-    fn access_ways<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> Access {
+    /// already derived. `WAYS` must equal [`Cache::kernel_ways`].
+    /// Always inlined: the hierarchy chunk kernel calls it once per
+    /// reference, and as a call it cost that kernel a third of its
+    /// speed.
+    #[inline(always)]
+    pub(crate) fn access_ways<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> Access {
         debug_assert_eq!(self.ways, WAYS);
         let block = self.geom.block_addr(addr);
         self.clock += 1;
@@ -642,8 +653,10 @@ impl Cache {
 
     /// The probe body of the monomorphized paths: records each way's
     /// set index in `sets` and returns the hitting way, or `WAYS` on a
-    /// miss (entries of `sets` past the hit are untouched).
-    #[inline]
+    /// miss (entries of `sets` past the hit are untouched). Always
+    /// inlined: left to the compiler, the 2- and 4-way probes stayed
+    /// out-of-line calls inside the kernels.
+    #[inline(always)]
     fn probe_ways<const WAYS: usize>(&self, block: u64, sets: &mut [u32; WAYS]) -> usize {
         debug_assert_eq!(self.ways, WAYS);
         for (w, way_set) in sets.iter_mut().enumerate() {

@@ -63,11 +63,14 @@
 //!   probes return `(way, set)` so hit and fill paths never recompute an
 //!   index;
 //! * one-set (fully-associative) geometries — the paper's reference
-//!   curve, victim buffers, maximal TLBs — probe and pick victims in
-//!   O(1) through [`assoc::AssocIndex`] instead of scanning every way;
+//!   curve, maximal TLBs — probe and pick victims in O(1) through
+//!   [`assoc::AssocIndex`] instead of scanning every way;
 //! * batched replay dispatches each chunk to a probe kernel
 //!   monomorphized for the cache's shape (ways ∈ {1, 2, 4} ×
-//!   replacement policy, plus the fully-associative engine);
+//!   replacement policy, plus the fully-associative engine); a
+//!   [`stack::Hierarchy`] dispatches on its level 0's way count and
+//!   walks the deeper levels and sidecars only when level 0 does not
+//!   read-hit;
 //! * whole traces replay through the batched APIs
 //!   ([`cache::Cache::run_trace`], [`model::MemoryModel::run_refs`]),
 //!   which return per-trace counter deltas that are byte-identical

@@ -58,8 +58,23 @@
 //! The `[victim]`, `[stream]` and `[jouppi]` organizations of
 //! [`crate::config`] are one-level stacks with sidecars. Golden files
 //! under `crates/sim/tests/golden/` pin every one of these
-//! organizations, virtual-real included, per access; they were
-//! recorded from the concrete types these stacks replaced.
+//! organizations, virtual-real and the three-level sidecar stack
+//! included, per access and per chunked replay.
+//!
+//! # Replay
+//!
+//! [`MemoryModel::run_refs`] is a chunk kernel: it dispatches once per
+//! chunk on level 0's way count and probes level 0 with the
+//! monomorphized [`Cache`] body; only a reference that does not
+//! read-hit there walks the deeper levels and the sidecars.
+//! [`Hierarchy::access`] runs the same per-reference step, so the two
+//! paths agree by construction.
+//!
+//! The sidecars allocate and hash nothing per reference. A victim
+//! buffer is an insertion-ordered `Vec` probed by a linear scan (the
+//! shipped configs have 4–8 lines). A stream buffer always holds the
+//! `depth` consecutive blocks from its head, so a set of them is two
+//! flat arrays, the heads and their LRU stamps.
 //!
 //! # Example
 //!
@@ -83,16 +98,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::assoc::VictimQueue;
 use crate::cache::{Cache, CacheBuilder, WritePolicy};
 use crate::model::{extra, AccessOutcome, ComponentStats, MemoryModel, ModelStats, ServicePoint};
 use crate::mshr::MshrFile;
 use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
-use crate::vm::PageMapper;
+use crate::vm::{BlockMap, PageMapper};
 use cac_core::{CacheGeometry, Error, IndexSpec};
 use cac_trace::MemRef;
-use std::collections::{HashMap, VecDeque};
 
 /// Default MSHR fill latency presented to an attached [`MshrFile`]
 /// (cycles); purely bookkeeping.
@@ -204,10 +217,10 @@ impl LevelBuilder {
         }
         Ok(Level {
             cache: self.cache.build()?,
-            victim: self.victim_lines.map(VictimQueue::new),
+            victim: self.victim_lines.map(VictimBuffer::new),
             streams: self.stream.map(|(buffers, depth)| StreamSet {
-                buffers: Vec::with_capacity(buffers),
                 heads: Vec::with_capacity(buffers),
+                last_used: Vec::with_capacity(buffers),
                 capacity: buffers,
                 depth,
                 flushed_unused: 0,
@@ -220,22 +233,66 @@ impl LevelBuilder {
     }
 }
 
-/// One sequential prefetch FIFO (Jouppi's head-only policy).
+/// A fully-associative victim buffer: the blocks in insertion order,
+/// oldest first, probed by a linear scan (Jouppi's buffer has 4 lines,
+/// the shipped configs at most 8). A hit removes the block — it swaps
+/// back into the cache — and a push at capacity drops the oldest.
 #[derive(Debug)]
-struct StreamFifo {
-    fifo: VecDeque<u64>,
-    next: u64,
-    last_used: u64,
+struct VictimBuffer {
+    lines: Vec<u64>,
+    capacity: usize,
 }
 
-/// A set of stream buffers attached to one level.
+impl VictimBuffer {
+    fn new(capacity: usize) -> Self {
+        VictimBuffer {
+            lines: Vec::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    /// Removes `block` if buffered; `true` on a hit.
+    #[inline]
+    fn take(&mut self, block: u64) -> bool {
+        match self.lines.iter().position(|&b| b == block) {
+            Some(i) => {
+                self.lines.remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Buffers `block`, returning the oldest entry if the buffer was
+    /// full. A victim buffer holds lines *not* resident in its cache, so
+    /// `block` is never already buffered.
+    #[inline]
+    fn push(&mut self, block: u64) -> Option<u64> {
+        debug_assert!(
+            !self.lines.contains(&block),
+            "block {block:#x} buffered twice"
+        );
+        let dropped = (self.lines.len() == self.capacity).then(|| self.lines.remove(0));
+        self.lines.push(block);
+        dropped
+    }
+}
+
+/// A set of sequential stream buffers attached to one level (Jouppi's
+/// head-only policy). A buffer allocated after a miss on block `b`
+/// prefetches `b + 1 ..= b + depth`, and a head hit pops the head and
+/// tops the FIFO up with the next block, so a buffer always holds the
+/// `depth` consecutive blocks starting at its head: the head alone
+/// describes it.
 #[derive(Debug)]
 struct StreamSet {
-    buffers: Vec<StreamFifo>,
-    /// Flat tag store over the buffer heads (`heads[i]` mirrors
-    /// `buffers[i].fifo.front()`): the hit check scans one contiguous
-    /// array, first match wins (two streams may converge on one head).
+    /// Head block of each allocated buffer. The hit check scans this one
+    /// contiguous array, first match wins (two streams may converge on
+    /// one head).
     heads: Vec<u64>,
+    /// LRU stamp of each allocated buffer (the level-0 clock of its
+    /// last allocation or head hit).
+    last_used: Vec<u64>,
     capacity: usize,
     depth: usize,
     /// Prefetched blocks discarded unused when a stream is reallocated.
@@ -243,51 +300,43 @@ struct StreamSet {
 }
 
 impl StreamSet {
-    /// Head-only probe: a hit pops the head, tops the FIFO back up and
-    /// refreshes the LRU stamp.
+    /// Head-only probe: a hit advances the buffer by one block and
+    /// refreshes its LRU stamp.
     #[inline]
     fn take_head(&mut self, block: u64, clock: u64) -> bool {
         let Some(bi) = self.heads.iter().position(|&h| h == block) else {
             return false;
         };
-        let b = &mut self.buffers[bi];
-        b.fifo.pop_front();
-        b.last_used = clock;
-        while b.fifo.len() < self.depth {
-            b.fifo.push_back(b.next);
-            b.next += 1;
-        }
-        self.heads[bi] = *b.fifo.front().expect("stream topped up");
+        self.heads[bi] = block + 1;
+        self.last_used[bi] = clock;
         true
     }
 
-    /// (Re)allocates the LRU buffer to a fresh stream after `block`.
+    /// (Re)allocates the LRU buffer to a fresh stream after `block`;
+    /// among equally old buffers the first wins. A reallocated buffer
+    /// discards its `depth` prefetched blocks unused.
+    #[inline]
     fn allocate(&mut self, block: u64, clock: u64) {
-        let mut fifo = VecDeque::with_capacity(self.depth);
-        for i in 1..=self.depth as u64 {
-            fifo.push_back(block + i);
+        if self.heads.len() < self.capacity {
+            self.heads.push(block + 1);
+            self.last_used.push(clock);
+            return;
         }
-        let head = *fifo.front().expect("depth >= 1");
-        let fresh = StreamFifo {
-            fifo,
-            next: block + self.depth as u64 + 1,
-            last_used: clock,
-        };
-        if self.buffers.len() < self.capacity {
-            self.buffers.push(fresh);
-            self.heads.push(head);
-        } else {
-            let lru = self
-                .buffers
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| b.last_used)
-                .map(|(i, _)| i)
-                .expect("at least one buffer");
-            self.flushed_unused += self.buffers[lru].fifo.len() as u64;
-            self.buffers[lru] = fresh;
-            self.heads[lru] = head;
+        let mut lru = 0;
+        for (i, &stamp) in self.last_used.iter().enumerate().skip(1) {
+            if stamp < self.last_used[lru] {
+                lru = i;
+            }
         }
+        self.flushed_unused += self.depth as u64;
+        self.heads[lru] = block + 1;
+        self.last_used[lru] = clock;
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.last_used.clear();
+        self.flushed_unused = 0;
     }
 }
 
@@ -295,7 +344,7 @@ impl StreamSet {
 #[derive(Debug)]
 struct Level {
     cache: Cache,
-    victim: Option<VictimQueue>,
+    victim: Option<VictimBuffer>,
     streams: Option<StreamSet>,
     mshr: Option<MshrFile>,
     miss_penalty: u64,
@@ -310,7 +359,7 @@ struct VirtualL1 {
     mapper: PageMapper,
     /// Reverse map: physical block → the virtual block resident at
     /// level 0 (one alias at most).
-    resident: HashMap<u64, u64>,
+    resident: BlockMap<u64>,
     alias_invalidations: u64,
     external_invalidations_l1: u64,
     external_invalidations_l2: u64,
@@ -444,7 +493,7 @@ impl HierarchyBuilder {
             virt: self.mapper.map(|mapper| {
                 Box::new(VirtualL1 {
                     mapper,
-                    resident: HashMap::new(),
+                    resident: BlockMap::default(),
                     alias_invalidations: 0,
                     external_invalidations_l1: 0,
                     external_invalidations_l2: 0,
@@ -555,12 +604,10 @@ impl Hierarchy {
         for level in &mut self.levels {
             level.cache.flush();
             if let Some(v) = &mut level.victim {
-                v.clear();
+                v.lines.clear();
             }
             if let Some(s) = &mut level.streams {
-                s.buffers.clear();
-                s.heads.clear();
-                s.flushed_unused = 0;
+                s.clear();
             }
             if let Some(m) = &mut level.mshr {
                 m.reset();
@@ -602,7 +649,7 @@ impl Hierarchy {
                 }
             }
             if let Some(v) = &mut self.levels[k].victim {
-                v.invalidate(block);
+                v.take(block);
             }
         }
     }
@@ -640,7 +687,22 @@ impl Hierarchy {
     /// (upper-level evictions stay resident below).
     #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        let res = self.levels[0].cache.access(addr, is_write);
+        self.step::<0>(addr, is_write)
+    }
+
+    /// One reference, the body [`Hierarchy::access`] and the chunk
+    /// kernel share: level 0 is probed with its way count `WAYS` baked
+    /// in ([`Cache::access_ways`]; 0 takes the dispatching
+    /// [`Cache::access`]), and only a reference that does not read-hit
+    /// there walks the rest of the stack.
+    #[inline(always)]
+    fn step<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        let l0 = &mut self.levels[0].cache;
+        let res = if WAYS == 0 {
+            l0.access(addr, is_write)
+        } else {
+            l0.access_ways::<WAYS>(addr, is_write)
+        };
         if res.hit && !is_write {
             // The common case: a read hit at L1 moves nothing.
             return AccessOutcome::hit_at(ServicePoint::Level(0));
@@ -652,10 +714,34 @@ impl Hierarchy {
         }
     }
 
+    /// The chunk kernel: replays `refs` through [`Hierarchy::step`]
+    /// monomorphized for level 0's shape, dispatched once per chunk.
+    /// With `LOADS_ONLY` stores skip the stack (the [`LoadsOnly`]
+    /// organizations); returns how many did.
+    fn replay<const LOADS_ONLY: bool>(&mut self, refs: &[MemRef]) -> u64 {
+        match self.levels[0].cache.kernel_ways() {
+            1 => self.replay_ways::<1, LOADS_ONLY>(refs),
+            2 => self.replay_ways::<2, LOADS_ONLY>(refs),
+            4 => self.replay_ways::<4, LOADS_ONLY>(refs),
+            _ => self.replay_ways::<0, LOADS_ONLY>(refs),
+        }
+    }
+
+    fn replay_ways<const WAYS: usize, const LOADS_ONLY: bool>(&mut self, refs: &[MemRef]) -> u64 {
+        let mut bypassed = 0;
+        for r in refs {
+            if LOADS_ONLY && r.is_write {
+                bypassed += 1;
+            } else {
+                self.step::<WAYS>(r.addr, r.is_write);
+            }
+        }
+        bypassed
+    }
+
     /// The rest of an access after level 0 returned `res` for `addr`.
     /// `VIRTUAL` mirrors `self.virt.is_some()` at compile time, so a
     /// physical stack's walk carries no virtual bookkeeping.
-    #[inline]
     fn walk<const VIRTUAL: bool>(
         &mut self,
         addr: u64,
@@ -880,6 +966,12 @@ impl MemoryModel for Hierarchy {
         Hierarchy::access(self, r.addr, r.is_write)
     }
 
+    fn run_refs(&mut self, refs: &[MemRef]) -> ModelStats {
+        let before = MemoryModel::stats(self);
+        self.replay::<false>(refs);
+        MemoryModel::stats(self) - before
+    }
+
     fn stats(&self) -> ModelStats {
         let mut components = Vec::with_capacity(self.levels.len());
         let mut extras = vec![
@@ -940,7 +1032,7 @@ impl MemoryModel for Hierarchy {
                     l.cache.index_fn().label()
                 );
                 if let Some(v) = &l.victim {
-                    d.push_str(&format!(" +victim[{}]", v.capacity()));
+                    d.push_str(&format!(" +victim[{}]", v.capacity));
                 }
                 if let Some(s) = &l.streams {
                     d.push_str(&format!(" +stream[{}x{}]", s.capacity, s.depth));
@@ -1006,6 +1098,12 @@ impl MemoryModel for LoadsOnly {
         self.stack.access(r.addr, false)
     }
 
+    fn run_refs(&mut self, refs: &[MemRef]) -> ModelStats {
+        let before = self.stats();
+        self.stores_bypassed += self.stack.replay::<true>(refs);
+        self.stats() - before
+    }
+
     fn stats(&self) -> ModelStats {
         let level = &self.stack.levels[0];
         let (name, main) = match self.part {
@@ -1037,7 +1135,7 @@ impl MemoryModel for LoadsOnly {
     fn describe(&self) -> String {
         let level = &self.stack.levels[0];
         let geometry = level.cache.geometry();
-        let victim = level.victim.as_ref().map_or(0, VictimQueue::capacity);
+        let victim = level.victim.as_ref().map_or(0, |v| v.capacity);
         let (buffers, depth) = level
             .streams
             .as_ref()
@@ -1165,6 +1263,48 @@ mod tests {
         let s = MemoryModel::stats(&h);
         assert_eq!(s.components.len(), 3);
         assert!(s.demand.hits > 0);
+    }
+
+    #[test]
+    fn victim_buffer_is_a_fifo_set() {
+        let mut q = VictimBuffer::new(4);
+        for b in [10, 20, 30, 40] {
+            assert_eq!(q.push(b), None);
+        }
+        assert_eq!(q.push(50), Some(10), "oldest entry dropped at capacity");
+        assert!(q.take(30));
+        assert!(!q.take(30), "a hit removes the entry");
+        assert_eq!(q.lines.len(), 3);
+        assert_eq!(q.push(60), None);
+        assert_eq!(q.push(70), Some(20));
+        assert_eq!(q.lines, [40, 50, 60, 70]);
+    }
+
+    #[test]
+    fn stream_set_reallocates_the_least_recently_used_buffer() {
+        let mut s = StreamSet {
+            heads: Vec::new(),
+            last_used: Vec::new(),
+            capacity: 2,
+            depth: 4,
+            flushed_unused: 0,
+        };
+        s.allocate(100, 1);
+        s.allocate(200, 2);
+        assert!(
+            s.take_head(101, 3),
+            "a buffer starts one block past the miss"
+        );
+        assert!(!s.take_head(103, 4), "head only");
+        s.allocate(300, 5); // the buffer after 200 is older
+        assert_eq!(s.heads, [102, 301]);
+        assert_eq!(s.flushed_unused, 4);
+        // Equal stamps: the first buffer goes.
+        s.last_used = vec![9, 9];
+        s.allocate(400, 10);
+        assert_eq!(s.heads, [401, 301]);
+        s.clear();
+        assert!(s.heads.is_empty() && s.flushed_unused == 0);
     }
 
     fn dm8k() -> CacheGeometry {

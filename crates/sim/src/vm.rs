@@ -8,10 +8,47 @@
 //! effectively uncorrelated in the hole experiments.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Minimum page size the paper's discussion assumes (§3.1: "Typical
 /// operating systems permit pages to be as small as 4Kbytes").
 pub const MIN_PAGE_SIZE: u64 = 4096;
+
+/// A multiplicative hasher for `u64` page and block numbers.
+///
+/// The maps keyed by page or block number sit on the miss path of the
+/// virtual-real hierarchy and are never iterated, so they need neither
+/// SipHash's flooding resistance nor its cost: one multiply by the
+/// golden-ratio constant, with the high half folded into the low bits
+/// the table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by page or block number, hashed by [`BlockHasher`].
+pub type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
+
+/// A set of page or block numbers, hashed by [`BlockHasher`].
+pub type BlockSet = HashSet<u64, BuildHasherDefault<BlockHasher>>;
 
 /// A virtual→physical page mapper.
 #[derive(Debug, Clone)]
@@ -24,13 +61,13 @@ pub enum PageMapper {
         /// Page size in bytes (power of two, >= 4KB by convention).
         page_size: u64,
         /// Established mappings: virtual page number → frame number.
-        mappings: HashMap<u64, u64>,
+        mappings: BlockMap<u64>,
         /// xorshift state for frame assignment.
         rng_state: u64,
         /// Number of physical frames available.
         frames: u64,
         /// Frames already handed out.
-        used: HashSet<u64>,
+        used: BlockSet,
     },
     /// Many-to-one mapping: virtual page `v` maps to frame `v mod frames`.
     /// Distinct virtual pages deliberately share physical frames, creating
@@ -67,10 +104,10 @@ impl PageMapper {
         );
         PageMapper::Randomized {
             page_size,
-            mappings: HashMap::new(),
+            mappings: BlockMap::default(),
             rng_state: seed | 1,
             frames: memory_bytes / page_size,
-            used: HashSet::new(),
+            used: BlockSet::default(),
         }
     }
 

@@ -187,6 +187,46 @@ impl LoopKernel {
     }
 }
 
+/// Where one [`ArrayWalk`] stands in a [`KernelGen`]: the walk's
+/// access `j = i / every` of loop iteration `i`, kept as counters so
+/// that expanding an iteration divides nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct WalkCursor {
+    /// `i mod every`: the walk fires when this is 0.
+    rem: u64,
+    /// `j mod wrap`: the position within the current lap.
+    k: u64,
+    /// `(j / wrap) mod laps`: the current lap.
+    lap: u64,
+}
+
+impl WalkCursor {
+    /// The address this iteration touches, or `None` when the walk
+    /// skips it; either way the cursor moves to the next iteration.
+    #[inline]
+    fn next(&mut self, walk: &ArrayWalk) -> Option<u64> {
+        let fires = self.rem == 0;
+        self.rem += 1;
+        if self.rem >= walk.every {
+            self.rem = 0;
+        }
+        if !fires {
+            return None;
+        }
+        let addr =
+            walk.base + self.lap * walk.advance_bytes + self.k * walk.stride_elems * walk.elem_size;
+        self.k += 1;
+        if self.k >= walk.wrap {
+            self.k = 0;
+            self.lap += 1;
+            if self.lap >= walk.laps {
+                self.lap = 0;
+            }
+        }
+        Some(addr)
+    }
+}
+
 /// Iterator expanding a [`LoopKernel`] into dynamic instructions.
 #[derive(Debug)]
 pub struct KernelGen {
@@ -194,6 +234,11 @@ pub struct KernelGen {
     iter: u64,
     queue: VecDeque<TraceOp>,
     rng: StdRng,
+    /// One cursor per load walk, then one per store walk.
+    cursors: Vec<WalkCursor>,
+    /// Destination registers of the current iteration's loads (reused
+    /// across iterations).
+    load_dsts: Vec<u8>,
 }
 
 /// Integer register pool for generated code (r0 is the zero register;
@@ -205,11 +250,14 @@ const FP_POOL: std::ops::Range<u8> = 34..62;
 impl KernelGen {
     /// Creates the generator.
     pub fn new(kernel: LoopKernel, seed: u64) -> Self {
+        let walks = kernel.loads.len() + kernel.stores.len();
         KernelGen {
             kernel,
             iter: 0,
             queue: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
+            cursors: vec![WalkCursor::default(); walks],
+            load_dsts: Vec::new(),
         }
     }
 
@@ -218,30 +266,36 @@ impl KernelGen {
         &self.kernel
     }
 
-    fn int_reg(&self, slot: u64) -> u8 {
-        let span = u64::from(INT_POOL.end - INT_POOL.start);
-        INT_POOL.start + ((self.iter.wrapping_mul(7).wrapping_add(slot)) % span) as u8
-    }
-
-    fn fp_reg(&self, slot: u64) -> u8 {
-        let span = u64::from(FP_POOL.end - FP_POOL.start);
-        FP_POOL.start + ((self.iter.wrapping_mul(5).wrapping_add(slot)) % span) as u8
-    }
-
     fn refill(&mut self) {
-        let k = self.kernel.clone();
-        let i = self.iter;
+        let KernelGen {
+            kernel: k,
+            iter,
+            queue,
+            rng,
+            cursors,
+            load_dsts,
+        } = self;
+        let i = *iter;
+        let (load_cursors, store_cursors) = cursors.split_at_mut(k.loads.len());
+        let int_reg = |slot: u64| {
+            let span = u64::from(INT_POOL.end - INT_POOL.start);
+            INT_POOL.start + ((i.wrapping_mul(7).wrapping_add(slot)) % span) as u8
+        };
+        let fp_reg = |slot: u64| {
+            let span = u64::from(FP_POOL.end - FP_POOL.start);
+            FP_POOL.start + ((i.wrapping_mul(5).wrapping_add(slot)) % span) as u8
+        };
         let mut pc = k.code_base;
         let next_pc = |n: &mut u64| {
             let p = *n;
             *n += 4;
             p
         };
-        let mut load_dsts: Vec<u8> = Vec::new();
+        load_dsts.clear();
         let mut slot = 0u64;
 
         // Induction variable update.
-        self.queue.push_back(TraceOp::compute(
+        queue.push_back(TraceOp::compute(
             next_pc(&mut pc),
             OpClass::IntAlu,
             1,
@@ -249,23 +303,18 @@ impl KernelGen {
         ));
 
         // Array loads.
-        for walk in &k.loads {
-            if !i.is_multiple_of(walk.every) {
+        for (walk, cursor) in k.loads.iter().zip(load_cursors) {
+            let Some(addr) = cursor.next(walk) else {
                 pc += 4; // keep PCs stable for skipped slots
                 slot += 1;
                 continue;
-            }
-            let dst = if k.fp_data {
-                self.fp_reg(slot)
-            } else {
-                self.int_reg(slot)
             };
-            self.queue.push_back(TraceOp::load(
-                next_pc(&mut pc),
-                walk.addr(i / walk.every),
-                dst,
-                Some(1),
-            ));
+            let dst = if k.fp_data {
+                fp_reg(slot)
+            } else {
+                int_reg(slot)
+            };
+            queue.push_back(TraceOp::load(next_pc(&mut pc), addr, dst, Some(1)));
             load_dsts.push(dst);
             slot += 1;
         }
@@ -274,10 +323,10 @@ impl KernelGen {
         if k.random_loads > 0 && i.is_multiple_of(k.random_every.max(1)) && k.random_footprint > 0 {
             let mut prev: Option<u8> = None;
             for _ in 0..k.random_loads {
-                let off = self.rng.gen_range(0..k.random_footprint / 8) * 8;
-                let dst = self.int_reg(slot);
+                let off = rng.gen_range(0..k.random_footprint / 8) * 8;
+                let dst = int_reg(slot);
                 let base = if k.chase { prev.or(Some(1)) } else { Some(1) };
-                self.queue.push_back(TraceOp::load(
+                queue.push_back(TraceOp::load(
                     next_pc(&mut pc),
                     k.random_base + off,
                     dst,
@@ -295,7 +344,7 @@ impl KernelGen {
         // Integer compute, consuming load results where available.
         let mut last_int = 1u8;
         for n in 0..k.int_ops {
-            let dst = self.int_reg(slot);
+            let dst = int_reg(slot);
             let src1 = load_dsts
                 .iter()
                 .rev()
@@ -303,7 +352,7 @@ impl KernelGen {
                 .copied()
                 .unwrap_or(last_int);
             let src2 = if n % 2 == 0 { Some(last_int) } else { Some(1) };
-            self.queue.push_back(TraceOp::compute(
+            queue.push_back(TraceOp::compute(
                 next_pc(&mut pc),
                 OpClass::IntAlu,
                 dst,
@@ -314,8 +363,8 @@ impl KernelGen {
         }
         if k.int_mul_every > 0 {
             if i.is_multiple_of(k.int_mul_every) {
-                let dst = self.int_reg(slot);
-                self.queue.push_back(TraceOp::compute(
+                let dst = int_reg(slot);
+                queue.push_back(TraceOp::compute(
                     next_pc(&mut pc),
                     OpClass::IntMul,
                     dst,
@@ -336,14 +385,14 @@ impl KernelGen {
             } else {
                 OpClass::FpMul
             };
-            let dst = self.fp_reg(slot + 13);
+            let dst = fp_reg(slot + 13);
             let src1 = if k.fp_independent && n % 2 == 1 {
                 load_dsts.iter().find(|&&r| r >= 32).copied().unwrap_or(32)
             } else {
                 last_fp.unwrap_or(33)
             };
             let src2 = load_dsts.iter().find(|&&r| r >= 32).copied().unwrap_or(32);
-            self.queue.push_back(TraceOp::compute(
+            queue.push_back(TraceOp::compute(
                 next_pc(&mut pc),
                 class,
                 dst,
@@ -354,8 +403,8 @@ impl KernelGen {
         }
         if k.fp_div_every > 0 {
             if i.is_multiple_of(k.fp_div_every) {
-                let dst = self.fp_reg(slot + 13);
-                self.queue.push_back(TraceOp::compute(
+                let dst = fp_reg(slot + 13);
+                queue.push_back(TraceOp::compute(
                     next_pc(&mut pc),
                     OpClass::FpDiv,
                     dst,
@@ -368,38 +417,31 @@ impl KernelGen {
         }
 
         // Stores of computed results.
-        for walk in &k.stores {
-            if !i.is_multiple_of(walk.every) {
+        for (walk, cursor) in k.stores.iter().zip(store_cursors) {
+            let Some(addr) = cursor.next(walk) else {
                 pc += 4;
                 continue;
-            }
+            };
             let src = if k.fp_data {
                 last_fp.unwrap_or(33)
             } else {
                 last_int
             };
-            self.queue.push_back(TraceOp::store(
-                next_pc(&mut pc),
-                walk.addr(i / walk.every),
-                src,
-                Some(1),
-            ));
+            queue.push_back(TraceOp::store(next_pc(&mut pc), addr, src, Some(1)));
         }
 
         // Data-dependent branch (hard to predict when prob ≈ 0.5).
         if k.data_branch_prob > 0.0 {
-            let taken = self.rng.gen_bool(k.data_branch_prob);
+            let taken = rng.gen_bool(k.data_branch_prob);
             let bpc = next_pc(&mut pc);
-            self.queue
-                .push_back(TraceOp::branch(bpc, taken, bpc + 16, Some(last_int)));
+            queue.push_back(TraceOp::branch(bpc, taken, bpc + 16, Some(last_int)));
         }
 
         // Loop-back branch (taken; highly predictable).
         let bpc = next_pc(&mut pc);
-        self.queue
-            .push_back(TraceOp::branch(bpc, true, k.code_base, Some(1)));
+        queue.push_back(TraceOp::branch(bpc, true, k.code_base, Some(1)));
 
-        self.iter += 1;
+        *iter += 1;
     }
 }
 

@@ -183,26 +183,40 @@ mod tests {
 
     #[test]
     fn compiled_table_agrees_with_source_for_all_specs() {
-        for spec in [
-            IndexSpec::modulo(),
-            IndexSpec::xor(),
-            IndexSpec::xor_skewed(),
-            IndexSpec::ipoly(),
-            IndexSpec::ipoly_skewed(),
-            IndexSpec::prime(),
-            IndexSpec::prime_skewed(),
-            IndexSpec::add_skew(),
-            IndexSpec::add_skew_skewed(),
-            IndexSpec::rand_table(),
-            IndexSpec::rand_table_skewed(),
-            IndexSpec::xor_matrix(),
-            IndexSpec::xor_matrix_skewed(),
-        ] {
-            let f = spec.build(geom()).unwrap();
-            let t = IndexTable::compile(f.clone());
-            for ba in addresses() {
-                for w in 0..2 {
-                    assert_eq!(t.set_index(ba, w), f.set_index(ba, w), "{spec} ba={ba:#x}");
+        // Every table entry of every way, plus addresses above the
+        // table bits, for direct-mapped, 2-way and 4-way geometries.
+        let geometries = [
+            geom(),
+            CacheGeometry::new(8 * 1024, 32, 1).unwrap(),
+            CacheGeometry::new(16 * 1024, 32, 4).unwrap(),
+        ];
+        for g in geometries {
+            for spec in [
+                IndexSpec::modulo(),
+                IndexSpec::xor(),
+                IndexSpec::xor_skewed(),
+                IndexSpec::ipoly(),
+                IndexSpec::ipoly_skewed(),
+                IndexSpec::prime(),
+                IndexSpec::prime_skewed(),
+                IndexSpec::add_skew(),
+                IndexSpec::add_skew_skewed(),
+                IndexSpec::rand_table(),
+                IndexSpec::rand_table_skewed(),
+                IndexSpec::xor_matrix(),
+                IndexSpec::xor_matrix_skewed(),
+            ] {
+                let f = spec.build(g).unwrap();
+                let t = IndexTable::compile(f.clone());
+                let exhaustive = 0..1u64 << t.table_bits();
+                for ba in exhaustive.chain(addresses()) {
+                    for w in 0..g.ways() {
+                        assert_eq!(
+                            t.set_index(ba, w),
+                            f.set_index(ba, w),
+                            "{spec} {g} ba={ba:#x} way {w}"
+                        );
+                    }
                 }
             }
         }

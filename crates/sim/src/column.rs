@@ -490,6 +490,27 @@ mod rehash_tests {
     use super::*;
 
     #[test]
+    fn polynomial_rehash_lut_matches_its_xor_tree_exhaustively() {
+        // The second-probe LUT against the XOR tree it tabulates, over
+        // every one of the tree's 2^v inputs.
+        for size in [2 * 1024, 8 * 1024, 16 * 1024] {
+            let geom = CacheGeometry::new(size, 32, 1).unwrap();
+            let c = ColumnAssociative::new(geom).unwrap();
+            let m = geom.index_bits();
+            let v = (19 - geom.offset_bits()).max(2 * m);
+            assert!(v <= 20, "{size}: the rehash is tabulated up to 20 bits");
+            let tree = XorTree::new(min_fan_in_poly(m, v), v);
+            for block in 0..1u64 << v {
+                assert_eq!(
+                    c.polynomial_index(block) as u64,
+                    tree.apply(block),
+                    "{size} B block {block:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn top_bit_flip_pairs_slots() {
         let geom = CacheGeometry::new(8 * 1024, 32, 1).unwrap();
         let c = ColumnAssociative::with_rehash(geom, RehashKind::TopBitFlip).unwrap();

@@ -16,9 +16,15 @@
 //!   aliased and identity page mappings — hole, alias and Inclusion
 //!   accounting included.
 //!
-//! The three-level golden was recorded from the stack engine itself,
-//! before its chunk kernel existed; the rest from the types the stack
-//! replaced. None can be regenerated: a mismatch is a behaviour change.
+//! * a three-level stack with small write-back L2 and L3 under a
+//!   write-through L1 and no sidecars, so stores reach L2: the
+//!   write-propagation, dirty-eviction and Inclusion paths of the
+//!   level walk.
+//!
+//! The three-level goldens were recorded from the stack engine itself,
+//! `three_level_sidecars` before its chunk kernel existed; the rest
+//! from the types the stack replaced. None can be regenerated: a
+//! mismatch is a behaviour change.
 
 use cac_sim::model::{AccessOutcome, ServicePoint};
 use cac_sim::SimConfig;
@@ -218,4 +224,30 @@ fn direct_mapped_identity_virtual_real_matches_its_golden() {
          [[level]]\nsize = \"64KiB\"\n",
     );
     assert_golden("virtual_real_identity", &cfg, false);
+}
+
+#[test]
+fn write_back_three_level_stack_matches_its_golden() {
+    let cfg = inline(
+        "[hierarchy]\ninclusion = true\n\
+         [[level]]\nsize = \"8KiB\"\nways = 2\n\
+         [[level]]\nsize = \"32KiB\"\nways = 4\nwrite-policy = \"write-back\"\n\
+         [[level]]\nsize = \"128KiB\"\nways = 8\nwrite-policy = \"write-back\"\n",
+    );
+    // The golden only pins these paths while the workload drives them.
+    let golden = std::fs::read_to_string(golden_path("write_back_three_level")).unwrap();
+    let count = |prefix: &str, field: &str| -> u64 {
+        golden
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix))
+            .map(|l| {
+                let at = l.find(field).expect("field present") + field.len();
+                let digits: String = l[at..].chars().take_while(char::is_ascii_digit).collect();
+                digits.parse::<u64>().unwrap()
+            })
+            .sum()
+    };
+    assert!(count("extra inclusion-invalidations ", "") > 0);
+    assert!(count("component l2 ", "writebacks: ") > 0);
+    assert_golden("write_back_three_level", &cfg, true);
 }

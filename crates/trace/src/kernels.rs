@@ -595,6 +595,29 @@ mod tests {
     }
 
     #[test]
+    fn generation_in_pieces_equals_one_pass() {
+        // Stopping and resuming the iterator at any op, mid-iteration
+        // included, must not change the stream.
+        const N: usize = 20_000;
+        let kernels = crate::spec::SpecBenchmark::all()
+            .into_iter()
+            .map(|b| b.kernel())
+            .chain([demo_kernel()]);
+        for k in kernels {
+            let whole: Vec<_> = k.generator(3).take(N).collect();
+            for piece in [1, 7, 23, 1000] {
+                let mut gen = k.generator(3);
+                let mut pieces = Vec::with_capacity(N);
+                while pieces.len() < N {
+                    let want = piece.min(N - pieces.len());
+                    pieces.extend(gen.by_ref().take(want));
+                }
+                assert!(pieces == whole, "{}: pieces of {piece} differ", k.name);
+            }
+        }
+    }
+
+    #[test]
     fn random_every_gates_bursts() {
         let mut k = LoopKernel::template("bursty");
         k.random_loads = 2;

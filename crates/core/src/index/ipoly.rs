@@ -5,7 +5,7 @@ use crate::error::Error;
 use crate::geometry::CacheGeometry;
 use crate::index::{IndexFunction, PAPER_ADDRESS_BITS};
 use cac_gf2::irreducible::{irreducibles, is_irreducible};
-use cac_gf2::xor_tree::XorTree;
+use cac_gf2::xor_tree::{fill_linear, XorTree};
 use cac_gf2::Poly;
 
 /// Polynomial-modulus placement (paper §2.1.1).
@@ -258,16 +258,8 @@ impl IndexFunction for IPolyIndex {
             out.fill(0);
             return;
         }
-        let bits = out.len().trailing_zeros();
-        if bits <= self.input_bits() {
-            // GF(2)-linear: synthesise the table in O(len) via the tree's
-            // incremental construction instead of len mask+popcnt hashes.
-            out.copy_from_slice(&self.tree(way).apply_table(bits));
-        } else {
-            for (a, slot) in out.iter_mut().enumerate() {
-                *slot = self.set_index(a as u64, way);
-            }
-        }
+        let tree = self.tree(way);
+        fill_linear(out, |a| tree.apply(a) as u32);
     }
 }
 

@@ -103,8 +103,10 @@ pub trait IndexFunction: fmt::Debug + Send + Sync {
     ///
     /// This is the bulk-evaluation hook [`IndexTable`]
     /// compiles placements through; the default calls [`set_index`] per
-    /// entry, and implementations with algebraic structure (I-Poly's
-    /// GF(2)-linearity) override it with an `O(out.len())` synthesis.
+    /// entry. The GF(2)-linear placements (I-Poly, XOR-fold, XOR-matrix)
+    /// override it with [`cac_gf2::xor_tree::fill_linear`], which
+    /// evaluates the function only on unit inputs and fills the table in
+    /// vectorizable rows.
     ///
     /// [`set_index`]: IndexFunction::set_index
     fn fill_table(&self, way: u32, out: &mut [u32]) {

@@ -16,6 +16,15 @@
 //! Entries are stored as `u16` when the set count allows it (it almost
 //! always does) and `u32` otherwise, keeping the hot table small enough to
 //! live in L1/L2 of the *host* machine.
+//!
+//! Compilation is part of building every cache, and the organization
+//! matrix builds twelve per workload, so it is kept cheap. The
+//! GF(2)-linear placements (I-Poly, XOR-fold, XOR-matrix) never
+//! evaluate entry by entry: `f(hi‖lo) = f(hi << h) ^ f(lo)`, so their
+//! [`fill_table`](IndexFunction::fill_table) writes each row of a table
+//! as one entry of a half-width table XOR-ed into a copy of the other
+//! ([`cac_gf2::xor_tree::fill_linear`]), a vectorized loop that costs a
+//! fraction of a nanosecond per entry.
 
 use crate::index::IndexFunction;
 use std::sync::Arc;

@@ -7,6 +7,7 @@
 
 use crate::geometry::CacheGeometry;
 use crate::index::IndexFunction;
+use cac_gf2::xor_tree::fill_linear;
 
 /// XOR-fold placement: the set index of way `w` is
 /// `rotl(F0, w) ^ F1`, where `F0` and `F1` are the two `m`-bit fields of
@@ -97,6 +98,11 @@ impl IndexFunction for XorFoldIndex {
 
     fn input_bits(&self) -> u32 {
         2 * self.index_bits
+    }
+
+    fn fill_table(&self, way: u32, out: &mut [u32]) {
+        // Rotation and XOR of bit fields: GF(2)-linear.
+        fill_linear(out, |a| self.set_index(a, way));
     }
 }
 

@@ -21,6 +21,7 @@ use crate::error::Error;
 use crate::geometry::CacheGeometry;
 use crate::index::prng::SplitMix64;
 use crate::index::{IndexFunction, PAPER_ADDRESS_BITS};
+use cac_gf2::xor_tree::fill_linear;
 use cac_gf2::BitMatrix;
 
 /// General GF(2) linear placement: `set = M_w · block_addr_bits`.
@@ -221,6 +222,10 @@ impl IndexFunction for XorMatrixIndex {
 
     fn input_bits(&self) -> u32 {
         self.input_bits
+    }
+
+    fn fill_table(&self, way: u32, out: &mut [u32]) {
+        fill_linear(out, |a| self.set_index(a, way));
     }
 }
 

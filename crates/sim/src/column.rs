@@ -103,17 +103,25 @@ pub enum RehashKind {
 #[derive(Debug, Clone)]
 pub struct ColumnAssociative {
     geom: CacheGeometry,
-    tree: XorTree,
-    rehash: RehashKind,
+    second: SecondProbe,
     mask: u64,
-    /// LUT over the tree's input bits so the second-probe index is a
-    /// single load on the access path (same trick as
-    /// `cac_core::IndexTable`); `None` when the input is too wide.
-    poly_lut: Option<Vec<u32>>,
     /// One block address per line (flat direct-mapped storage;
     /// `INVALID_LINE` = empty).
     lines: Vec<u64>,
     stats: ColumnStats,
+}
+
+/// How the second-probe index is computed.
+#[derive(Debug, Clone)]
+enum SecondProbe {
+    /// The polynomial rehash tabulated over the tree's input bits, so
+    /// the second-probe index is a single load on the access path (same
+    /// trick as `cac_core::IndexTable`).
+    Lut(Vec<u32>),
+    /// The polynomial rehash, too wide to tabulate.
+    Tree(XorTree),
+    /// [`RehashKind::TopBitFlip`]: no polynomial at all.
+    TopBitFlip,
 }
 
 /// Sentinel for an empty line (cannot collide with a real block address;
@@ -140,19 +148,25 @@ impl ColumnAssociative {
     /// Propagates geometry validation errors.
     pub fn with_rehash(geom: CacheGeometry, rehash: RehashKind) -> Result<Self, Error> {
         let dm = CacheGeometry::new(geom.capacity(), geom.block(), 1)?;
-        let m = dm.index_bits();
-        // Hash the full block address budget the paper allows (19 address
-        // bits) or 2m bits, whichever is larger, for the rehash probe.
-        let v = (19u32.saturating_sub(dm.offset_bits())).max(2 * m).min(40);
-        let poly = min_fan_in_poly(m, v);
-        let tree = XorTree::new(poly, v);
-        let poly_lut = (rehash == RehashKind::Polynomial && v <= 20).then(|| tree.apply_table(v));
+        let second = match rehash {
+            RehashKind::Polynomial => {
+                let m = dm.index_bits();
+                // Hash the full block address budget the paper allows (19
+                // address bits) or 2m bits, whichever is larger.
+                let v = (19u32.saturating_sub(dm.offset_bits())).max(2 * m).min(40);
+                let tree = XorTree::new(min_fan_in_poly(m, v), v);
+                if v <= 20 {
+                    SecondProbe::Lut(tree.apply_table(v))
+                } else {
+                    SecondProbe::Tree(tree)
+                }
+            }
+            RehashKind::TopBitFlip => SecondProbe::TopBitFlip,
+        };
         Ok(ColumnAssociative {
             geom: dm,
-            tree,
-            rehash,
+            second,
             mask: u64::from(dm.num_sets() - 1),
-            poly_lut,
             lines: vec![INVALID_LINE; dm.num_sets() as usize],
             stats: ColumnStats::default(),
         })
@@ -177,12 +191,10 @@ impl ColumnAssociative {
     /// The rehashed (second-probe) line index of a block address.
     #[inline]
     pub fn polynomial_index(&self, block: u64) -> usize {
-        match self.rehash {
-            RehashKind::Polynomial => match &self.poly_lut {
-                Some(lut) => lut[(block & (lut.len() as u64 - 1)) as usize] as usize,
-                None => self.tree.apply(block) as usize,
-            },
-            RehashKind::TopBitFlip => ((block & self.mask) ^ (self.mask / 2 + 1)) as usize,
+        match &self.second {
+            SecondProbe::Lut(lut) => lut[(block & (lut.len() as u64 - 1)) as usize] as usize,
+            SecondProbe::Tree(tree) => tree.apply(block) as usize,
+            SecondProbe::TopBitFlip => ((block & self.mask) ^ (self.mask / 2 + 1)) as usize,
         }
     }
 
@@ -294,9 +306,9 @@ impl MemoryModel for ColumnAssociative {
     }
 
     fn describe(&self) -> String {
-        let rehash = match self.rehash {
-            RehashKind::Polynomial => "polynomial",
-            RehashKind::TopBitFlip => "top-bit-flip",
+        let rehash = match self.second {
+            SecondProbe::Lut(_) | SecondProbe::Tree(_) => "polynomial",
+            SecondProbe::TopBitFlip => "top-bit-flip",
         };
         format!("column-associative {} ({rehash} rehash)", self.geom)
     }

@@ -7,11 +7,19 @@
 //! stream with stable PCs per static slot, synthetic register dependences
 //! (loads feed compute feeds stores) and realistic branch patterns — the
 //! inputs the out-of-order CPU model and the predictors need.
+//!
+//! Generation is a hot layer of its own: the organization matrix
+//! generates each model's references once and replays them through
+//! twelve caches, so producing an op costs about as much as probing
+//! one. [`KernelGen`] therefore expands one loop iteration at a time
+//! into a reused buffer and hands the ops out through a read cursor,
+//! and its `next` is `#[inline]` so that consumers in other crates —
+//! `mem_refs(..).collect()` above all — take ops straight from the
+//! buffer instead of calling across the crate boundary per op.
 
 use crate::record::{MemRef, OpClass, TraceOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// A strided walk over an array, optionally column-structured.
 ///
@@ -232,7 +240,11 @@ impl WalkCursor {
 pub struct KernelGen {
     kernel: LoopKernel,
     iter: u64,
-    queue: VecDeque<TraceOp>,
+    /// The ops of the loop iteration being handed out (reused across
+    /// iterations).
+    ops: Vec<TraceOp>,
+    /// Index in `ops` of the next op to hand out.
+    pos: usize,
     rng: StdRng,
     /// One cursor per load walk, then one per store walk.
     cursors: Vec<WalkCursor>,
@@ -251,10 +263,12 @@ impl KernelGen {
     /// Creates the generator.
     pub fn new(kernel: LoopKernel, seed: u64) -> Self {
         let walks = kernel.loads.len() + kernel.stores.len();
+        let ops = Vec::with_capacity(kernel.ops_per_iteration());
         KernelGen {
             kernel,
             iter: 0,
-            queue: VecDeque::new(),
+            ops,
+            pos: 0,
             rng: StdRng::seed_from_u64(seed),
             cursors: vec![WalkCursor::default(); walks],
             load_dsts: Vec::new(),
@@ -266,11 +280,15 @@ impl KernelGen {
         &self.kernel
     }
 
+    /// Expands the next loop iteration into `ops` and rewinds the read
+    /// cursor. An iteration always has at least its induction update and
+    /// loop-back branch, so `ops` is never left empty.
     fn refill(&mut self) {
         let KernelGen {
             kernel: k,
             iter,
-            queue,
+            ops,
+            pos,
             rng,
             cursors,
             load_dsts,
@@ -291,11 +309,13 @@ impl KernelGen {
             *n += 4;
             p
         };
+        ops.clear();
+        *pos = 0;
         load_dsts.clear();
         let mut slot = 0u64;
 
         // Induction variable update.
-        queue.push_back(TraceOp::compute(
+        ops.push(TraceOp::compute(
             next_pc(&mut pc),
             OpClass::IntAlu,
             1,
@@ -314,7 +334,7 @@ impl KernelGen {
             } else {
                 int_reg(slot)
             };
-            queue.push_back(TraceOp::load(next_pc(&mut pc), addr, dst, Some(1)));
+            ops.push(TraceOp::load(next_pc(&mut pc), addr, dst, Some(1)));
             load_dsts.push(dst);
             slot += 1;
         }
@@ -326,7 +346,7 @@ impl KernelGen {
                 let off = rng.gen_range(0..k.random_footprint / 8) * 8;
                 let dst = int_reg(slot);
                 let base = if k.chase { prev.or(Some(1)) } else { Some(1) };
-                queue.push_back(TraceOp::load(
+                ops.push(TraceOp::load(
                     next_pc(&mut pc),
                     k.random_base + off,
                     dst,
@@ -352,7 +372,7 @@ impl KernelGen {
                 .copied()
                 .unwrap_or(last_int);
             let src2 = if n % 2 == 0 { Some(last_int) } else { Some(1) };
-            queue.push_back(TraceOp::compute(
+            ops.push(TraceOp::compute(
                 next_pc(&mut pc),
                 OpClass::IntAlu,
                 dst,
@@ -364,7 +384,7 @@ impl KernelGen {
         if k.int_mul_every > 0 {
             if i.is_multiple_of(k.int_mul_every) {
                 let dst = int_reg(slot);
-                queue.push_back(TraceOp::compute(
+                ops.push(TraceOp::compute(
                     next_pc(&mut pc),
                     OpClass::IntMul,
                     dst,
@@ -392,7 +412,7 @@ impl KernelGen {
                 last_fp.unwrap_or(33)
             };
             let src2 = load_dsts.iter().find(|&&r| r >= 32).copied().unwrap_or(32);
-            queue.push_back(TraceOp::compute(
+            ops.push(TraceOp::compute(
                 next_pc(&mut pc),
                 class,
                 dst,
@@ -404,7 +424,7 @@ impl KernelGen {
         if k.fp_div_every > 0 {
             if i.is_multiple_of(k.fp_div_every) {
                 let dst = fp_reg(slot + 13);
-                queue.push_back(TraceOp::compute(
+                ops.push(TraceOp::compute(
                     next_pc(&mut pc),
                     OpClass::FpDiv,
                     dst,
@@ -427,19 +447,19 @@ impl KernelGen {
             } else {
                 last_int
             };
-            queue.push_back(TraceOp::store(next_pc(&mut pc), addr, src, Some(1)));
+            ops.push(TraceOp::store(next_pc(&mut pc), addr, src, Some(1)));
         }
 
         // Data-dependent branch (hard to predict when prob ≈ 0.5).
         if k.data_branch_prob > 0.0 {
             let taken = rng.gen_bool(k.data_branch_prob);
             let bpc = next_pc(&mut pc);
-            queue.push_back(TraceOp::branch(bpc, taken, bpc + 16, Some(last_int)));
+            ops.push(TraceOp::branch(bpc, taken, bpc + 16, Some(last_int)));
         }
 
         // Loop-back branch (taken; highly predictable).
         let bpc = next_pc(&mut pc);
-        queue.push_back(TraceOp::branch(bpc, true, k.code_base, Some(1)));
+        ops.push(TraceOp::branch(bpc, true, k.code_base, Some(1)));
 
         *iter += 1;
     }
@@ -448,11 +468,23 @@ impl KernelGen {
 impl Iterator for KernelGen {
     type Item = TraceOp;
 
+    // Without `#[inline]` this non-generic method is not inlinable in
+    // other crates, and every op would cross a call and come back
+    // through memory.
+    #[inline]
     fn next(&mut self) -> Option<TraceOp> {
-        if self.queue.is_empty() {
+        if self.pos == self.ops.len() {
             self.refill();
         }
-        self.queue.pop_front()
+        let op = self.ops.get(self.pos).copied();
+        self.pos += 1;
+        op
+    }
+
+    /// The stream never ends, so `gen.take(n)` reports exactly `n` and
+    /// `collect` allocates its final size once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 

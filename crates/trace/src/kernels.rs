@@ -10,8 +10,8 @@
 //!
 //! Generation is a hot layer of its own: the organization matrix
 //! generates each model's references once and replays them through
-//! twelve caches, so producing an op costs about as much as probing
-//! one. [`KernelGen`] therefore expands one loop iteration at a time
+//! twelve caches, and generation was the largest single share of that
+//! run's time. [`KernelGen`] therefore expands one loop iteration at a time
 //! into a reused buffer and hands the ops out through a read cursor,
 //! and its `next` is `#[inline]` so that consumers in other crates —
 //! `mem_refs(..).collect()` above all — take ops straight from the

@@ -263,11 +263,12 @@ impl KernelGen {
     /// Creates the generator.
     pub fn new(kernel: LoopKernel, seed: u64) -> Self {
         let walks = kernel.loads.len() + kernel.stores.len();
-        let ops = Vec::with_capacity(kernel.ops_per_iteration());
         KernelGen {
             kernel,
             iter: 0,
-            ops,
+            // Grows to one iteration's ops on the first refill; see the
+            // note on the `Iterator` impl.
+            ops: Vec::new(),
             pos: 0,
             rng: StdRng::seed_from_u64(seed),
             cursors: vec![WalkCursor::default(); walks],
@@ -465,6 +466,12 @@ impl KernelGen {
     }
 }
 
+// No `size_hint`, so `gen.take(n).collect()` grows its `Vec` by
+// doubling, and `ops` starts empty. The sizes allocated here decide
+// where glibc places the large trace buffers that callers free and
+// collect again per model. Sizing both exactly made `cacbench`'s
+// `table2-ipc` peak RSS read 5.8 or 8.1 MB from run to run instead of a
+// steady 8.1, to save about 1 ms of generation in a 0.55 s grid pass.
 impl Iterator for KernelGen {
     type Item = TraceOp;
 
@@ -479,12 +486,6 @@ impl Iterator for KernelGen {
         let op = self.ops.get(self.pos).copied();
         self.pos += 1;
         op
-    }
-
-    /// The stream never ends, so `gen.take(n)` reports exactly `n` and
-    /// `collect` allocates its final size once.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (usize::MAX, None)
     }
 }
 

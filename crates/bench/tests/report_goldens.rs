@@ -74,15 +74,74 @@ fn hierarchy_reports_match_their_goldens() {
     assert_matches_golden("ablation-l2-index", &[], "report_ablation_l2_index.json");
 }
 
+/// The §2.1 organization comparison: every organization of the matrix
+/// swept over each SPEC model's references.
+#[test]
+fn organizations_report_matches_its_golden() {
+    assert_matches_golden(
+        "organizations",
+        &["--ops", "20000"],
+        "report_organizations.json",
+    );
+}
+
+/// The SPEC miss-ratio table (conventional, I-Poly, fully associative).
+#[test]
+fn missratio_report_matches_its_golden() {
+    assert_matches_golden("missratio", &["--ops", "20000"], "report_missratio.json");
+}
+
+/// Figure 1's stride sweep, every placement scheme per stride.
+#[test]
+fn fig1_report_matches_its_golden() {
+    assert_matches_golden(
+        "fig1",
+        &["--max-stride", "512", "--passes", "4"],
+        "report_fig1.json",
+    );
+}
+
+/// One-pass Mattson curves against the sweep's per-size replays.
+#[test]
+fn lru_curve_report_matches_its_golden() {
+    assert_matches_golden("lru-curve", &["--ops", "20000"], "report_lru_curve.json");
+}
+
+/// Model-vs-simulation error over every shipped config: the report
+/// that replays through a multi-worker sweep.
+#[test]
+fn analytic_validate_report_matches_its_golden() {
+    enter_repo_root();
+    let mut configs: Vec<String> = std::fs::read_dir("examples")
+        .expect("examples directory")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".toml"))
+        .map(|n| format!("examples/{n}"))
+        .collect();
+    configs.sort();
+    assert_eq!(configs.len(), 14, "expected the 14 shipped configs");
+    let args: Vec<&str> = configs.iter().map(String::as_str).collect();
+    assert_matches_golden("analytic-validate", &args, "report_analytic_validate.json");
+}
+
+/// Reports record config paths as given; the goldens that take config
+/// files were recorded from the repository root.
+fn enter_repo_root() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::env::set_current_dir(&root).expect("repository root");
+}
+
 /// `cac run` over the shipped sidecar and virtual-real configs: the
 /// organizations built on `stack::Hierarchy`. The `notes` field carries
 /// timings, so it is dropped before comparing.
 #[test]
 fn run_reports_match_their_goldens() {
-    // The report records the config path as given; the goldens were
-    // recorded from the repository root.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::env::set_current_dir(&root).expect("repository root");
+    enter_repo_root();
     for name in [
         "victim",
         "stream_buffers",

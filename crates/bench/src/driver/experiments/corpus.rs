@@ -752,10 +752,13 @@ fn bench_corpus_inner(
         ))
         .map_err(|e| DriverError::Failed(e.to_string()))?;
         let start = Instant::now();
-        engine
-            .run_source(&mut models, source)
+        let outcomes = engine
+            .run_source_isolated(&mut models, source)
             .map_err(|e| DriverError::Failed(e.to_string()))?;
         runs.push(start.elapsed().as_secs_f64());
+        if let Some(reason) = outcomes.iter().find_map(|o| o.failure()) {
+            return Err(DriverError::Failed(format!("model panicked: {reason}")));
+        }
         Ok(())
     };
     for r in 0..repeat {
@@ -819,7 +822,7 @@ fn bench_corpus_inner(
         Value::f(model_refs as f64 / memory_secs.max(1e-9), 0),
     ]);
     table.push_row(vec![
-        Value::s("columnar streaming sweep (run_source)"),
+        Value::s("columnar streaming sweep (run_source_isolated)"),
         Value::u(refs.len() as u64),
         Value::u(model_refs),
         Value::f(stream_secs, 3),

@@ -139,4 +139,4 @@ pub use config::SimConfig;
 pub use model::{AccessOutcome, MemoryModel, ModelStats, ServicePoint};
 pub use stack::{Hierarchy, HierarchyBuilder, LevelBuilder, SnoopOutcome};
 pub use stats::CacheStats;
-pub use sweep::{sweep_refs, LruStackSweep, Sweep};
+pub use sweep::{LruStackSweep, Sweep};

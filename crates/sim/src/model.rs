@@ -273,7 +273,7 @@ pub trait MemoryModel: Send {
 /// access.
 ///
 /// This is the test fixture behind the sweep engine's panic isolation
-/// (`[poison]` config sections, `Sweep::run_refs_isolated`): a sweep
+/// (`[poison]` config sections, `Sweep::run_source_isolated`): a sweep
 /// containing a `PoisonModel` must degrade that one row to
 /// `Failed` while sibling models' counters stay byte-identical. It has
 /// no simulation value.

@@ -10,13 +10,15 @@
 //! pass over the data. This module provides the two engines that
 //! collapse it to O(refs + configs × accesses):
 //!
-//! * [`Sweep`] — a chunk-broadcast replay engine. One producer refills
-//!   reusable reference chunks from a [`RefSource`] (a binary trace, a
-//!   text trace, a synthetic workload iterator) or walks an in-memory
-//!   slice, and each worker thread owns a *shard* of the model set, so
-//!   models stay cache-resident with their worker while a chunk is
-//!   replayed against all of them. Counters are byte-identical to
-//!   running each model alone (`crates/sim/tests/sweep_equivalence.rs`).
+//! * [`Sweep`] — a chunk-broadcast replay engine. The calling thread
+//!   releases reference chunks — sub-slices of an in-memory trace, or
+//!   recycled buffers refilled from a [`RefSource`] (a binary trace, a
+//!   text trace, a synthetic workload iterator) — and every worker,
+//!   the calling thread included, takes the model at the front of a
+//!   shared queue, replays it over its next few chunks and puts it
+//!   back. Slow and fast models therefore spread over all workers.
+//!   Counters are byte-identical to running each model alone
+//!   (`crates/sim/tests/sweep_equivalence.rs`).
 //! * [`LruStackSweep`] — an exact one-pass **Mattson stack-distance**
 //!   engine for the LRU / modulus-indexed cache family: a single
 //!   traversal maintains per-set reuse stacks and a distance histogram,
@@ -31,7 +33,7 @@
 //! use cac_core::{CacheGeometry, IndexSpec};
 //! use cac_sim::cache::Cache;
 //! use cac_sim::model::MemoryModel;
-//! use cac_sim::sweep::sweep_refs;
+//! use cac_sim::sweep::Sweep;
 //! use cac_trace::stride::VectorStride;
 //!
 //! let geom = CacheGeometry::new(8 * 1024, 32, 2)?;
@@ -46,7 +48,7 @@
 //! .into_iter()
 //! .map(|s| Ok(Box::new(Cache::build(geom, s)?) as Box<dyn MemoryModel>))
 //! .collect::<Result<_, cac_core::Error>>()?;
-//! let stats = sweep_refs(&mut models, &refs);
+//! let stats = Sweep::new().run_refs(&mut models, &refs);
 //! // The pathological stride thrashes modulo placement; skewed I-Poly
 //! // sees only the 64 compulsory misses.
 //! assert!(stats[0].demand.miss_ratio() > 0.9);
@@ -58,21 +60,22 @@ use crate::model::{MemoryModel, ModelStats};
 use cac_core::Error;
 use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::MemRef;
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Deref;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-/// Per-model result of an *isolated* sweep
-/// ([`Sweep::run_refs_isolated`] / [`Sweep::run_source_isolated`]):
+/// Per-model result of an isolated sweep ([`Sweep::run_source_isolated`]):
 /// either the model's counter delta, or the reason its replay panicked.
 ///
 /// A failed model is quarantined from the first panic on — it sees no
 /// further references — and its partial counters are discarded; sibling
-/// models in the same sweep (even the same worker shard) are unaffected
+/// models in the same sweep (even on the same worker) are unaffected
 /// and their results are byte-identical to a sweep without the failed
 /// model present.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +125,8 @@ impl ModelOutcome {
     }
 }
 
-/// A replay budget for the panic-isolated sweep entry points, checked
-/// at chunk boundaries by the producer (a record-count watchdog — no
+/// A replay budget for [`Sweep::run_source_isolated`], checked at
+/// chunk boundaries by the producer (a record-count watchdog — no
 /// signals, no threads killed mid-access).
 ///
 /// When the budget trips, the producer stops feeding references and
@@ -180,35 +183,22 @@ impl SweepBudget {
     }
 }
 
+/// A caught model or source panic, kept whole so it can be resumed.
+type Panic = Box<dyn Any + Send>;
+
 /// Renders a caught panic payload as a failure reason.
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "model panicked with a non-string payload".to_owned()
-    }
+fn panic_reason(payload: &Panic) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    text.unwrap_or("model panicked with a non-string payload")
+        .to_owned()
 }
 
-/// Replays `chunk` against every not-yet-poisoned model of a shard,
-/// catching panics and quarantining the panicking model.
-fn replay_isolated(
-    shard: &mut [Box<dyn MemoryModel>],
-    poisoned: &mut [Option<String>],
-    chunk: &[MemRef],
-) {
-    for (m, poison) in shard.iter_mut().zip(poisoned.iter_mut()) {
-        if poison.is_some() {
-            continue;
-        }
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| {
-            m.run_refs(chunk);
-        })) {
-            *poison = Some(panic_reason(payload));
-        }
-    }
-}
+/// Chunks a model replays per turn before it goes back in the queue:
+/// enough that its state stays in the worker's cache across several
+/// chunks, few enough that fast and slow models still spread evenly
+/// over the workers.
+const TURN_CHUNKS: usize = 4;
 
 /// Multi-model replay engine configuration (builder style).
 ///
@@ -248,18 +238,18 @@ impl Sweep {
         self
     }
 
-    /// Sets the reference-chunk length. Chunks should fit the host L2
-    /// so the replay of model *i + 1* finds the chunk still resident.
+    /// Sets the reference-chunk length. A model replays a few chunks
+    /// per turn, so a chunk should stay well inside the host L2 for the
+    /// next model to find it still resident.
     #[must_use]
     pub fn chunk_ops(mut self, chunk_ops: usize) -> Self {
         self.chunk_ops = chunk_ops.max(1);
         self
     }
 
-    /// Sets the replay budget, honored by the *isolated* entry points
-    /// ([`Sweep::run_refs_isolated`] / [`Sweep::run_source_isolated`]);
-    /// the non-isolated paths have no outcome channel to report a
-    /// cancellation through and ignore it.
+    /// Sets the replay budget, honored by [`Sweep::run_source_isolated`];
+    /// [`Sweep::run_refs`] has no outcome to report a cancellation
+    /// through and ignores it.
     #[must_use]
     pub fn budget(mut self, budget: SweepBudget) -> Self {
         self.budget = budget;
@@ -277,306 +267,311 @@ impl Sweep {
         auto.min(models).max(1)
     }
 
-    /// Replays an in-memory reference slice against every model, with
-    /// the model set sharded across worker threads. Replay is
-    /// chunk-interleaved *within each shard* — every model of a shard
-    /// sees chunk *c* before any of them sees chunk *c + 1*, so the
-    /// chunk stays cache-resident across that shard's models (shards
-    /// advance through the slice independently of each other).
+    /// Replays an in-memory reference slice against every model. Chunks
+    /// are sub-slices of `refs`: nothing is copied.
     ///
     /// Returns one per-model counter delta (`stats after - before`), in
     /// model order — exactly what `models[i].run_refs(refs)` alone
     /// would have returned.
+    ///
+    /// # Panics
+    ///
+    /// When a model panics, the others still replay the whole slice;
+    /// then the first panic in model order is resumed.
     pub fn run_refs(
         &self,
         models: &mut [Box<dyn MemoryModel>],
         refs: &[MemRef],
     ) -> Vec<ModelStats> {
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        if workers <= 1 {
-            for chunk in refs.chunks(self.chunk_ops) {
-                for m in models.iter_mut() {
-                    m.run_refs(chunk);
-                }
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            thread::scope(|s| {
-                for shard in models.chunks_mut(shard) {
-                    s.spawn(move || {
-                        for chunk in refs.chunks(self.chunk_ops) {
-                            for m in shard.iter_mut() {
-                                m.run_refs(chunk);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        models
-            .iter()
-            .zip(before)
-            .map(|(m, b)| m.stats() - b)
+        let mut chunks = refs.chunks(self.chunk_ops);
+        // Sub-slices cost nothing to hold: release them all at once.
+        self.replay(models, usize::MAX, || chunks.next())
+            .into_iter()
+            .map(|delta| delta.unwrap_or_else(|payload| panic::resume_unwind(payload)))
             .collect()
     }
 
-    /// Streams a [`RefSource`] through every model: the source is
-    /// decoded **once** into reusable chunks that are broadcast to the
-    /// worker threads, each of which owns a shard of the model set.
-    ///
-    /// Returns per-model counter deltas as [`Sweep::run_refs`] does.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's decode/read errors. References broadcast
-    /// before the error remain applied to every model (and their
-    /// counters are included in the returned deltas).
-    pub fn run_source<S: RefSource>(
-        &self,
-        models: &mut [Box<dyn MemoryModel>],
-        mut source: S,
-    ) -> Result<Vec<ModelStats>, S::Error> {
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        let mut result = Ok(());
-        if workers <= 1 {
-            let mut buf = Vec::with_capacity(self.chunk_ops);
-            loop {
-                match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        for m in models.iter_mut() {
-                            m.run_refs(&buf);
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            result = thread::scope(|s| {
-                // Bounded broadcast: each worker gets its own queue of
-                // Arc'd chunks; the bound keeps a slow shard from
-                // letting chunks pile up unboundedly.
-                let mut senders = Vec::new();
-                for shard in models.chunks_mut(shard) {
-                    let (tx, rx) = mpsc::sync_channel::<Arc<Vec<MemRef>>>(2);
-                    senders.push(tx);
-                    s.spawn(move || {
-                        for chunk in rx.iter() {
-                            for m in shard.iter_mut() {
-                                m.run_refs(&chunk);
-                            }
-                        }
-                    });
-                }
-                // Producer (this thread): refill a recycled buffer,
-                // broadcast it, reclaim buffers all workers are done
-                // with. `strong_count == 1` means only the producer's
-                // own handle is left, so the buffer can be reused
-                // without copying.
-                let mut in_flight: VecDeque<Arc<Vec<MemRef>>> = VecDeque::new();
-                loop {
-                    let recyclable = in_flight.front().is_some_and(|a| Arc::strong_count(a) == 1);
-                    let mut buf = if recyclable {
-                        Arc::try_unwrap(in_flight.pop_front().expect("checked"))
-                            .expect("sole owner")
-                    } else {
-                        Vec::with_capacity(self.chunk_ops)
-                    };
-                    match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                        Ok(0) => return Ok(()),
-                        Ok(_) => {
-                            let chunk = Arc::new(buf);
-                            for tx in &senders {
-                                // A receiver only disappears if its
-                                // worker panicked; the panic resurfaces
-                                // when the scope joins, so the drop is
-                                // ignored here.
-                                let _ = tx.send(chunk.clone());
-                            }
-                            in_flight.push_back(chunk);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Senders drop here; workers drain their queues and
-                // exit, then the scope joins them.
-            });
-        }
-        let after: Vec<ModelStats> = models
-            .iter()
-            .zip(before)
-            .map(|(m, b)| m.stats() - b)
-            .collect();
-        result.map(|()| after)
-    }
-
-    /// Panic-isolated [`Sweep::run_refs`]: each model's replay is
-    /// wrapped in [`std::panic::catch_unwind`], so one poisoned
-    /// configuration yields a [`ModelOutcome::Failed`] row instead of
-    /// tearing down the whole sweep. Completed models' deltas are
-    /// byte-identical to a non-isolated sweep.
-    pub fn run_refs_isolated(
-        &self,
-        models: &mut [Box<dyn MemoryModel>],
-        refs: &[MemRef],
-    ) -> Vec<ModelOutcome> {
-        // A budgeted sweep needs the streaming watchdog (shards of the
-        // slice path advance independently, so there is no single place
-        // to trip a budget); the wrap costs one copy per chunk.
-        if !self.budget.is_unlimited() {
-            use cac_trace::io::IterRefSource;
-            return match self.run_source_isolated(models, IterRefSource::new(refs.iter().copied()))
-            {
-                Ok(outcomes) => outcomes,
-                Err(never) => match never {},
-            };
-        }
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        let mut poisoned: Vec<Option<String>> = vec![None; models.len()];
-        if workers <= 1 {
-            for chunk in refs.chunks(self.chunk_ops) {
-                replay_isolated(models, &mut poisoned, chunk);
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            thread::scope(|s| {
-                for (shard, poison) in models.chunks_mut(shard).zip(poisoned.chunks_mut(shard)) {
-                    s.spawn(move || {
-                        for chunk in refs.chunks(self.chunk_ops) {
-                            replay_isolated(shard, poison, chunk);
-                        }
-                    });
-                }
-            });
-        }
-        collect_outcomes(models, before, poisoned, None)
-    }
-
-    /// Panic-isolated [`Sweep::run_source`]: streams the source once,
-    /// catching per-model panics as [`ModelOutcome::Failed`] rows. When
-    /// a [`SweepBudget`] is set, the producer checks it at every chunk
-    /// boundary and cancels the whole sweep
-    /// ([`ModelOutcome::Cancelled`]) once it trips.
+    /// Streams a [`RefSource`] through every model, decoding it
+    /// **once**. Each model replays under [`std::panic::catch_unwind`],
+    /// so one poisoned configuration yields a [`ModelOutcome::Failed`]
+    /// row instead of tearing down the sweep; completed models' deltas
+    /// are byte-identical to replaying each model alone. A
+    /// [`SweepBudget`] is checked at every chunk boundary and cancels
+    /// the whole sweep ([`ModelOutcome::Cancelled`]) once it trips.
     ///
     /// # Errors
     ///
     /// Propagates the source's decode/read errors (model panics are
-    /// *not* errors — they surface as `Failed` outcomes).
+    /// *not* errors — they surface as `Failed` outcomes). Every model
+    /// has then replayed exactly the chunks decoded before the error.
     pub fn run_source_isolated<S: RefSource>(
         &self,
         models: &mut [Box<dyn MemoryModel>],
         mut source: S,
     ) -> Result<Vec<ModelOutcome>, S::Error> {
+        let (chunk_ops, budget, started) = (self.chunk_ops, self.budget, Instant::now());
+        let (mut fed, mut cancelled, mut error) = (0u64, false, None);
+        // Buffers handed out, oldest first.
+        let mut buffers: VecDeque<Arc<Vec<MemRef>>> = VecDeque::new();
+        // Two turns of lookahead per extra worker.
+        let window = 1 + 2 * TURN_CHUNKS * (self.effective_workers(models.len()) - 1);
+        let deltas = self.replay(models, window, || {
+            // Once no worker or window holds the oldest buffer
+            // (`strong_count == 1`), it is refilled in place.
+            let mut buf = match buffers.front() {
+                Some(b) if Arc::strong_count(b) == 1 => {
+                    Arc::try_unwrap(buffers.pop_front()?).expect("sole owner")
+                }
+                _ => Vec::with_capacity(chunk_ops),
+            };
+            let n = source.read_ref_chunk(&mut buf, chunk_ops);
+            let n = n.map_err(|e| error = Some(e)).ok()?;
+            // Checked *after* a successful read, so a stream that ends
+            // exactly at the budget completes normally.
+            cancelled = n > 0 && budget.exceeded(fed, started);
+            if n == 0 || cancelled {
+                return None;
+            }
+            fed += n as u64;
+            buffers.push_back(Arc::new(buf));
+            buffers.back().cloned()
+        });
+        if let Some(e) = error {
+            return Err(e);
+        }
+        Ok(deltas
+            .into_iter()
+            .map(|delta| match delta {
+                // A panic before a budget trip still wins: it carries
+                // more information.
+                Err(payload) => ModelOutcome::Failed {
+                    reason: panic_reason(&payload),
+                },
+                Ok(_) if cancelled => ModelOutcome::Cancelled { refs_replayed: fed },
+                Ok(stats) => ModelOutcome::Completed(stats),
+            })
+            .collect())
+    }
+
+    /// The one replay loop behind both entry points. `produce` releases
+    /// the next chunk, or `None` once the stream is over; only the
+    /// calling thread (worker 0) calls it, while at most `window`
+    /// released chunks are waiting for a model. Returns each model's
+    /// counter delta, or the panic that quarantined it.
+    fn replay<C>(
+        &self,
+        models: &mut [Box<dyn MemoryModel>],
+        window: usize,
+        produce: impl FnMut() -> Option<C>,
+    ) -> Vec<Result<ModelStats, Panic>>
+    where
+        C: Clone + Send + Deref<Target: AsRef<[MemRef]>>,
+    {
         let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
         let workers = self.effective_workers(models.len());
-        let mut poisoned: Vec<Option<String>> = vec![None; models.len()];
-        let started = Instant::now();
-        let mut fed: u64 = 0;
-        let mut cancelled = false;
-        let mut result = Ok(());
-        if workers <= 1 {
-            let mut buf = Vec::with_capacity(self.chunk_ops);
-            loop {
-                match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        // Budget check *after* a successful read, so a
-                        // stream that ends exactly at the budget is a
-                        // normal completion, not a cancellation.
-                        if self.budget.exceeded(fed, started) {
-                            cancelled = true;
-                            break;
-                        }
-                        replay_isolated(models, &mut poisoned, &buf);
-                        fed += n as u64;
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
+        // A lone worker replays each chunk against every model before
+        // it releases the next.
+        let board = Board::new(models, if workers == 1 { 1 } else { window });
+        let (board, source_panic) = if workers == 1 {
+            let board = RefCell::new(board);
+            let source_panic = work(&board, Some(produce));
+            (board.into_inner(), source_panic)
         } else {
-            let shard = models.len().div_ceil(workers);
-            result = thread::scope(|s| {
-                let mut senders = Vec::new();
-                for (shard, poison) in models.chunks_mut(shard).zip(poisoned.chunks_mut(shard)) {
-                    let (tx, rx) = mpsc::sync_channel::<Arc<Vec<MemRef>>>(2);
-                    senders.push(tx);
-                    s.spawn(move || {
-                        for chunk in rx.iter() {
-                            replay_isolated(shard, poison, &chunk);
-                        }
-                    });
+            let shared = (Mutex::new((board, 0)), Condvar::new());
+            let source_panic = thread::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(|| work(&shared, None::<fn() -> Option<C>>));
                 }
-                let mut in_flight: VecDeque<Arc<Vec<MemRef>>> = VecDeque::new();
-                loop {
-                    let recyclable = in_flight.front().is_some_and(|a| Arc::strong_count(a) == 1);
-                    let mut buf = if recyclable {
-                        Arc::try_unwrap(in_flight.pop_front().expect("checked"))
-                            .expect("sole owner")
-                    } else {
-                        Vec::with_capacity(self.chunk_ops)
-                    };
-                    match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                        Ok(0) => return Ok(()),
-                        Ok(n) => {
-                            if self.budget.exceeded(fed, started) {
-                                cancelled = true;
-                                return Ok(());
-                            }
-                            let chunk = Arc::new(buf);
-                            for tx in &senders {
-                                let _ = tx.send(chunk.clone());
-                            }
-                            in_flight.push_back(chunk);
-                            fed += n as u64;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
+                work(&shared, Some(produce))
             });
+            (shared.0.into_inner().expect("sweep board").0, source_panic)
+        };
+        if let Some(payload) = source_panic {
+            panic::resume_unwind(payload);
         }
-        let cancelled_at = cancelled.then_some(fed);
-        result.map(|()| collect_outcomes(models, before, poisoned, cancelled_at))
+        // A quarantined model's counters are never read.
+        let Board { poisoned, .. } = board;
+        let models = models.iter().zip(before).zip(poisoned);
+        models
+            .map(|((m, b), poison)| poison.map_or_else(|| Ok(m.stats() - b), Err))
+            .collect()
     }
 }
 
-/// Folds post-sweep model state and poison markers into per-model
-/// outcomes, discarding the partial counters of failed models. When the
-/// budget cancelled the sweep (`cancelled_at = Some(refs fed)`), models
-/// that had not already poisoned themselves report
-/// [`ModelOutcome::Cancelled`] — a panic recorded before the trip still
-/// wins, it carries more information.
-fn collect_outcomes(
-    models: &[Box<dyn MemoryModel>],
-    before: Vec<ModelStats>,
-    poisoned: Vec<Option<String>>,
-    cancelled_at: Option<u64>,
-) -> Vec<ModelOutcome> {
-    models
-        .iter()
-        .zip(before)
-        .zip(poisoned)
-        .map(|((m, b), poison)| match (poison, cancelled_at) {
-            (Some(reason), _) => ModelOutcome::Failed { reason },
-            (None, Some(refs_replayed)) => ModelOutcome::Cancelled { refs_replayed },
-            (None, None) => ModelOutcome::Completed(m.stats() - b),
-        })
-        .collect()
+/// A model's seat in the turn queue: its index and the model.
+type Seat<'m> = (usize, &'m mut Box<dyn MemoryModel>);
+
+/// What a worker does next.
+enum Job<'m> {
+    /// Release one more chunk (worker 0 only).
+    Produce,
+    /// Replay the worker's turn against this model.
+    Replay(Seat<'m>),
+    /// Every live model has replayed the whole stream.
+    Done,
 }
 
-/// [`Sweep::run_refs`] with default settings — the one-liner the
-/// experiment drivers use.
-pub fn sweep_refs(models: &mut [Box<dyn MemoryModel>], refs: &[MemRef]) -> Vec<ModelStats> {
-    Sweep::new().run_refs(models, refs)
+/// The state a sweep's workers share: the queue of models waiting for
+/// a turn and the window of released chunks.
+struct Board<'m, C> {
+    /// Models waiting for a turn, longest-waiting first.
+    queue: VecDeque<Seat<'m>>,
+    /// Released chunks some live model has yet to replay; `window[0]`
+    /// is chunk number `base`.
+    window: VecDeque<C>,
+    base: usize,
+    capacity: usize,
+    /// Per model: the next chunk it replays (`usize::MAX` once
+    /// quarantined, so it holds no chunk back).
+    next: Vec<usize>,
+    /// Per model: the panic that quarantined it.
+    poisoned: Vec<Option<Panic>>,
+    /// The producer has released its last chunk.
+    ended: bool,
+}
+
+impl<'m, C: Clone> Board<'m, C> {
+    fn new(models: &'m mut [Box<dyn MemoryModel>], capacity: usize) -> Self {
+        Board {
+            next: vec![0; models.len()],
+            poisoned: models.iter().map(|_| None).collect(),
+            queue: models.iter_mut().enumerate().collect(),
+            window: VecDeque::new(),
+            base: 0,
+            capacity,
+            ended: false,
+        }
+    }
+
+    /// The calling worker's next job, filling `turn` for a replay; or
+    /// `None` when it has to wait for another worker.
+    fn next_job(&mut self, producer: bool, turn: &mut Vec<C>) -> Option<Job<'m>> {
+        // Drop the chunks every live model has replayed, so their
+        // buffers can be refilled.
+        let low = self.next.iter().copied().min().unwrap_or(usize::MAX);
+        while self.base < low && self.window.pop_front().is_some() {
+            self.base += 1;
+        }
+        if producer && !self.ended && self.window.len() < self.capacity {
+            return Some(Job::Produce);
+        }
+        let released = self.base + self.window.len();
+        if let Some(k) = self.queue.iter().position(|s| self.next[s.0] < released) {
+            let seat = self.queue.remove(k).expect("found in the queue");
+            let from = self.next[seat.0] - self.base;
+            turn.extend(self.window.range(from..).take(TURN_CHUNKS).cloned());
+            return Some(Job::Replay(seat));
+        }
+        // The window empties only once every live model has replayed
+        // every released chunk.
+        (self.ended && self.window.is_empty()).then_some(Job::Done)
+    }
+
+    /// Releases a produced chunk, or ends the stream on `None`.
+    fn publish(&mut self, chunk: Option<C>) {
+        match chunk {
+            Some(chunk) => self.window.push_back(chunk),
+            None => self.ended = true,
+        }
+    }
+
+    /// Takes a seat back after a turn of `replayed` chunks. A model
+    /// whose turn panicked is quarantined: it leaves the queue for good.
+    fn put_back(&mut self, seat: Seat<'m>, replayed: usize, panic: Option<Panic>) {
+        match panic {
+            None => {
+                self.next[seat.0] += replayed;
+                self.queue.push_back(seat);
+            }
+            Some(payload) => {
+                self.next[seat.0] = usize::MAX;
+                self.poisoned[seat.0] = Some(payload);
+            }
+        }
+    }
+}
+
+/// How workers reach the board: a `RefCell` for a lone worker, a lock
+/// (with a count of the workers waiting on it) for several.
+trait Hub<B> {
+    /// Runs `step` on the board until it yields a job, waiting for
+    /// another worker to change the board in between.
+    fn visit<R>(&self, step: impl FnMut(&mut B) -> Option<R>) -> R;
+}
+
+impl<B> Hub<B> for RefCell<B> {
+    fn visit<R>(&self, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
+        // A full window always holds a chunk some queued model has yet
+        // to replay, so a lone worker never waits.
+        step(&mut self.borrow_mut()).expect("a lone worker never waits")
+    }
+}
+
+impl<B> Hub<B> for (Mutex<(B, usize)>, Condvar) {
+    fn visit<R>(&self, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
+        let mut guard = self.0.lock().expect("sweep board");
+        loop {
+            let (board, waiting) = &mut *guard;
+            if let Some(job) = step(board) {
+                if *waiting > 0 {
+                    self.1.notify_all();
+                }
+                return job;
+            }
+            *waiting += 1;
+            guard = self.1.wait(guard).expect("sweep board");
+            guard.1 -= 1;
+        }
+    }
+}
+
+/// One worker's loop. Worker 0 holds `produce` and releases chunks
+/// while the window has room; every worker takes the first queued
+/// model with released chunks it has not replayed, replays up to
+/// [`TURN_CHUNKS`] of them under `catch_unwind`, and puts it back at
+/// the end of the queue. Returns a panic of `produce`.
+fn work<'m, C>(
+    hub: &impl Hub<Board<'m, C>>,
+    mut produce: Option<impl FnMut() -> Option<C>>,
+) -> Option<Panic>
+where
+    C: Clone + Deref<Target: AsRef<[MemRef]>>,
+{
+    let mut turn: Vec<C> = Vec::with_capacity(TURN_CHUNKS);
+    let mut produced: Option<Option<C>> = None;
+    let mut finished: Option<(Seat<'m>, usize, Option<Panic>)> = None;
+    let mut source_panic = None;
+    loop {
+        let job = hub.visit(|board| {
+            if let Some(chunk) = produced.take() {
+                board.publish(chunk);
+            }
+            if let Some((seat, replayed, panic)) = finished.take() {
+                board.put_back(seat, replayed, panic);
+            }
+            board.next_job(produce.is_some(), &mut turn)
+        });
+        match job {
+            Job::Produce => {
+                let produce = produce.as_mut().expect("worker 0 produces");
+                let chunk = panic::catch_unwind(AssertUnwindSafe(produce));
+                produced = Some(chunk.unwrap_or_else(|payload| {
+                    source_panic = Some(payload);
+                    None
+                }));
+            }
+            Job::Replay((idx, model)) => {
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    for chunk in &turn {
+                        model.run_refs((**chunk).as_ref());
+                    }
+                }));
+                finished = Some(((idx, model), turn.len(), result.err()));
+                turn.clear();
+            }
+            Job::Done => return source_panic,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1097,6 +1092,20 @@ mod tests {
             .collect()
     }
 
+    /// Replays `refs` through a sweep's one isolated entry point, as a
+    /// stream.
+    fn isolated(
+        sweep: Sweep,
+        ms: &mut [Box<dyn MemoryModel>],
+        refs: &[MemRef],
+    ) -> Vec<ModelOutcome> {
+        use cac_trace::io::IterRefSource;
+        let source = IterRefSource::new(refs.iter().copied());
+        sweep
+            .run_source_isolated(ms, source)
+            .unwrap_or_else(|e| match e {})
+    }
+
     #[test]
     fn engine_matches_sequential_replay_any_worker_count() {
         let refs = mixed_refs(30_000);
@@ -1119,34 +1128,36 @@ mod tests {
 
     #[test]
     fn source_and_slice_paths_agree() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(25_000);
         let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
         let mut by_slice = models(&specs);
-        let expect = sweep_refs(&mut by_slice, &refs);
-        for workers in [1usize, 3] {
+        let expect = Sweep::new().run_refs(&mut by_slice, &refs);
+        for workers in [1usize, 2, 3] {
             let mut by_source = models(&specs);
-            let got = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1013)
-                .run_source(&mut by_source, IterRefSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(got, expect, "workers {workers}");
+            let sweep = Sweep::new().workers(workers).chunk_ops(1013);
+            let got = isolated(sweep, &mut by_source, &refs);
+            let got: Vec<&ModelStats> = got.iter().map(|o| o.stats().unwrap()).collect();
+            assert_eq!(got, expect.iter().collect::<Vec<_>>(), "workers {workers}");
         }
     }
 
     #[test]
     fn isolated_sweep_matches_plain_sweep_when_nothing_fails() {
+        // More models than workers, of very different speeds, so models
+        // move between workers from turn to turn.
         let refs = mixed_refs(20_000);
-        let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
-        let mut plain = models(&specs);
-        let expect = sweep_refs(&mut plain, &refs);
-        for workers in [1usize, 3] {
-            let mut isolated = models(&specs);
-            let got = Sweep::new()
-                .workers(workers)
-                .chunk_ops(977)
-                .run_refs_isolated(&mut isolated, &refs);
+        let geom = CacheGeometry::fully_associative(8 * 1024, 32).unwrap();
+        let mut specs = vec![IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
+        specs.extend([IndexSpec::xor_skewed(), IndexSpec::ipoly()]);
+        let build = || {
+            let mut ms = models(&specs);
+            ms.push(Box::new(Cache::build(geom, IndexSpec::modulo()).unwrap()));
+            ms
+        };
+        let expect = Sweep::new().workers(1).run_refs(&mut build(), &refs);
+        for workers in [1usize, 2, 3] {
+            let sweep = Sweep::new().workers(workers).chunk_ops(977);
+            let got = isolated(sweep, &mut build(), &refs);
             let got: Vec<&ModelStats> = got.iter().map(|o| o.stats().unwrap()).collect();
             assert_eq!(got, expect.iter().collect::<Vec<_>>(), "workers {workers}");
         }
@@ -1155,22 +1166,23 @@ mod tests {
     #[test]
     fn poisoned_model_degrades_without_touching_siblings() {
         use crate::model::PoisonModel;
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(15_000);
         let specs = [IndexSpec::modulo(), IndexSpec::xor_skewed()];
         let mut healthy = models(&specs);
-        let expect = sweep_refs(&mut healthy, &refs);
+        let expect = Sweep::new().run_refs(&mut healthy, &refs);
+        // Poison sandwiched between healthy models.
+        let mixed = || -> Vec<Box<dyn MemoryModel>> {
+            vec![
+                models(&specs[..1]).pop().unwrap(),
+                Box::new(PoisonModel::new(4_000)),
+                models(&specs[1..]).pop().unwrap(),
+            ]
+        };
 
         for workers in [1usize, 2, 4] {
-            // Slice path: poison sandwiched between healthy models.
-            let mut mixed: Vec<Box<dyn MemoryModel>> = Vec::new();
-            mixed.push(models(&specs[..1]).pop().unwrap());
-            mixed.push(Box::new(PoisonModel::new(4_000)));
-            mixed.push(models(&specs[1..]).pop().unwrap());
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1013)
-                .run_refs_isolated(&mut mixed, &refs);
+            let sweep = Sweep::new().workers(workers).chunk_ops(1013);
+            let mut ms = mixed();
+            let outcomes = isolated(sweep.clone(), &mut ms, &refs);
             assert_eq!(outcomes.len(), 3, "workers {workers}");
             assert_eq!(outcomes[0].stats(), Some(&expect[0]), "workers {workers}");
             assert!(outcomes[1].is_failed(), "workers {workers}");
@@ -1181,19 +1193,17 @@ mod tests {
             );
             assert_eq!(outcomes[2].stats(), Some(&expect[1]), "workers {workers}");
 
-            // Streaming path: same quarantine guarantees.
-            let mut mixed: Vec<Box<dyn MemoryModel>> = Vec::new();
-            mixed.push(models(&specs[..1]).pop().unwrap());
-            mixed.push(Box::new(PoisonModel::new(4_000)));
-            mixed.push(models(&specs[1..]).pop().unwrap());
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1013)
-                .run_source_isolated(&mut mixed, IterRefSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(outcomes[0].stats(), Some(&expect[0]), "workers {workers}");
-            assert!(outcomes[1].is_failed(), "workers {workers}");
-            assert_eq!(outcomes[2].stats(), Some(&expect[1]), "workers {workers}");
+            // The slice wrapper re-raises the panic, but only after the
+            // siblings replayed the whole slice.
+            let mut ms = mixed();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| sweep.run_refs(&mut ms, &refs)));
+            let reason = panic_reason(&caught.expect_err("run_refs re-raises"));
+            assert!(
+                reason.contains("poison model"),
+                "workers {workers}: {reason}"
+            );
+            assert_eq!(ms[0].stats(), expect[0], "workers {workers}");
+            assert_eq!(ms[2].stats(), expect[1], "workers {workers}");
         }
     }
 
@@ -1202,90 +1212,141 @@ mod tests {
         use crate::model::PoisonModel;
         let refs = mixed_refs(100);
         let mut ms: Vec<Box<dyn MemoryModel>> = vec![Box::new(PoisonModel::new(0))];
-        let outcomes = Sweep::new().workers(1).run_refs_isolated(&mut ms, &refs);
+        let outcomes = isolated(Sweep::new().workers(1), &mut ms, &refs);
         let reason = outcomes[0].failure().expect("must fail");
         assert!(reason.contains("configured trigger 0"), "{reason}");
     }
 
+    /// A source that delivers `good` chunks, then fails.
+    struct FailingSource {
+        refs: Vec<MemRef>,
+        good: usize,
+    }
+
+    impl RefSource for FailingSource {
+        type Error = String;
+
+        fn read_ref_chunk(&mut self, out: &mut Vec<MemRef>, max: usize) -> Result<usize, String> {
+            if self.good == 0 {
+                return Err("corrupt block".to_owned());
+            }
+            self.good -= 1;
+            let take = max.min(self.refs.len());
+            out.clear();
+            out.extend(self.refs.drain(..take));
+            Ok(take)
+        }
+    }
+
+    #[test]
+    fn decode_error_leaves_every_model_at_the_chunks_decoded_before_it() {
+        let (chunk, good) = (1000, 7);
+        let refs = mixed_refs(20_000);
+        let specs = [
+            IndexSpec::modulo(),
+            IndexSpec::ipoly_skewed(),
+            IndexSpec::xor_skewed(),
+            IndexSpec::ipoly(),
+            IndexSpec::modulo(),
+        ];
+        let mut solo = models(&specs);
+        let expect: Vec<ModelStats> = solo
+            .iter_mut()
+            .map(|m| m.run_refs(&refs[..chunk * good]))
+            .collect();
+        for workers in [1usize, 2, 3] {
+            let mut ms = models(&specs);
+            let source = FailingSource {
+                refs: refs.clone(),
+                good,
+            };
+            let got = Sweep::new()
+                .workers(workers)
+                .chunk_ops(chunk)
+                .run_source_isolated(&mut ms, source);
+            assert_eq!(got, Err("corrupt block".to_owned()), "workers {workers}");
+            let stats: Vec<ModelStats> = ms.iter().map(|m| m.stats()).collect();
+            assert_eq!(stats, expect, "workers {workers}");
+        }
+    }
+
     #[test]
     fn budget_cancels_all_models_deterministically() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(50_000);
-        let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
-        for workers in [1usize, 3] {
-            let mut ms = models(&specs);
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1000)
-                .budget(SweepBudget::refs(10_000))
-                .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-                .unwrap();
-            for o in &outcomes {
-                // Trips at the first chunk boundary at/after the limit.
-                assert_eq!(
-                    o,
-                    &ModelOutcome::Cancelled {
-                        refs_replayed: 10_000
-                    },
-                    "workers {workers}"
-                );
-                assert!(o.is_cancelled() && o.stats().is_none() && o.failure().is_none());
+        // Two models, and more models than workers.
+        let two = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
+        let five = [
+            IndexSpec::modulo(),
+            IndexSpec::ipoly_skewed(),
+            IndexSpec::xor_skewed(),
+            IndexSpec::ipoly(),
+            IndexSpec::modulo(),
+        ];
+        for specs in [&two[..], &five[..]] {
+            for workers in [1usize, 2, 3] {
+                let mut ms = models(specs);
+                let sweep = Sweep::new()
+                    .workers(workers)
+                    .chunk_ops(1000)
+                    .budget(SweepBudget::refs(10_000));
+                let outcomes = isolated(sweep, &mut ms, &refs);
+                assert_eq!(outcomes.len(), specs.len());
+                for o in &outcomes {
+                    // Trips at the first chunk boundary at/after the limit.
+                    assert_eq!(
+                        o,
+                        &ModelOutcome::Cancelled {
+                            refs_replayed: 10_000
+                        },
+                        "{} models, workers {workers}",
+                        specs.len()
+                    );
+                    assert!(o.is_cancelled() && o.stats().is_none() && o.failure().is_none());
+                }
+                // Every model replayed exactly the chunks fed before the
+                // trip.
+                let mut solo = models(specs);
+                for (m, s) in ms.iter().zip(solo.iter_mut()) {
+                    assert_eq!(m.stats(), s.run_refs(&refs[..10_000]), "workers {workers}");
+                }
             }
-            // Slice path delegates to the same watchdog.
-            let mut ms = models(&specs);
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1000)
-                .budget(SweepBudget::refs(10_000))
-                .run_refs_isolated(&mut ms, &refs);
-            assert!(outcomes.iter().all(|o| o
-                == &ModelOutcome::Cancelled {
-                    refs_replayed: 10_000
-                }));
         }
     }
 
     #[test]
     fn budget_larger_than_stream_is_a_normal_completion() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(5_000);
         let specs = [IndexSpec::modulo(), IndexSpec::xor_skewed()];
         let mut plain = models(&specs);
-        let expect = sweep_refs(&mut plain, &refs);
+        let expect = Sweep::new().run_refs(&mut plain, &refs);
         let mut ms = models(&specs);
-        let outcomes = Sweep::new()
-            .workers(1)
-            .budget(SweepBudget::refs(1_000_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+        let sweep = Sweep::new().workers(1).budget(SweepBudget::refs(1_000_000));
+        let outcomes = isolated(sweep, &mut ms, &refs);
         let got: Vec<&ModelStats> = outcomes.iter().map(|o| o.stats().unwrap()).collect();
         assert_eq!(got, expect.iter().collect::<Vec<_>>());
         // A stream ending exactly at the budget also completes.
         let mut ms = models(&specs);
-        let outcomes = Sweep::new()
+        let sweep = Sweep::new()
             .workers(1)
             .chunk_ops(1000)
-            .budget(SweepBudget::refs(5_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+            .budget(SweepBudget::refs(5_000));
+        let outcomes = isolated(sweep, &mut ms, &refs);
         assert!(outcomes.iter().all(|o| o.stats().is_some()));
     }
 
     #[test]
     fn poison_before_budget_trip_stays_failed() {
         use crate::model::PoisonModel;
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(20_000);
         let mut ms: Vec<Box<dyn MemoryModel>> = vec![
             Box::new(PoisonModel::new(100)),
             models(&[IndexSpec::modulo()]).pop().unwrap(),
         ];
-        let outcomes = Sweep::new()
+        let sweep = Sweep::new()
             .workers(1)
             .chunk_ops(1000)
-            .budget(SweepBudget::refs(5_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+            .budget(SweepBudget::refs(5_000));
+        let outcomes = isolated(sweep, &mut ms, &refs);
         assert!(outcomes[0].is_failed());
         assert!(outcomes[1].is_cancelled());
     }
@@ -1302,11 +1363,11 @@ mod tests {
     #[test]
     fn empty_inputs_are_no_ops() {
         let mut ms = models(&[IndexSpec::modulo()]);
-        let stats = sweep_refs(&mut ms, &[]);
+        let stats = Sweep::new().run_refs(&mut ms, &[]);
         assert_eq!(stats[0].demand.accesses, 0);
-        let none: Vec<Box<dyn MemoryModel>> = Vec::new();
-        let mut none = none;
-        assert!(sweep_refs(&mut none, &mixed_refs(10)).is_empty());
+        let mut none: Vec<Box<dyn MemoryModel>> = Vec::new();
+        assert!(Sweep::new().run_refs(&mut none, &mixed_refs(10)).is_empty());
+        assert!(isolated(Sweep::new(), &mut none, &mixed_refs(10)).is_empty());
     }
 
     #[test]

@@ -64,17 +64,31 @@ fn engine_counters_byte_identical_to_sequential_replay_on_all_examples() {
         })
         .collect();
 
-    for workers in [1usize, 4] {
-        let mut models: Vec<Box<dyn MemoryModel>> = configs
-            .iter()
-            .map(|(_, cfg)| cfg.build().expect("shipped config builds"))
-            .collect();
-        let got = Sweep::new()
-            .workers(workers)
-            .chunk_ops(4096)
-            .run_refs(&mut models, &refs);
-        for (((name, _), g), e) in configs.iter().zip(&got).zip(&expect) {
-            assert_eq!(g, e, "{name} (workers {workers})");
+    // Stats come back in input order whichever worker ran each model:
+    // the example list forwards and reversed, at worker counts that
+    // divide the list, do not, and exceed it.
+    for reversed in [false, true] {
+        let mut order: Vec<usize> = (0..configs.len()).collect();
+        if reversed {
+            order.reverse();
+        }
+        for workers in [1usize, 2, 3, 5, 20] {
+            let mut models: Vec<Box<dyn MemoryModel>> = order
+                .iter()
+                .map(|&i| configs[i].1.build().expect("shipped config builds"))
+                .collect();
+            let got = Sweep::new()
+                .workers(workers)
+                .chunk_ops(4096)
+                .run_refs(&mut models, &refs);
+            assert_eq!(got.len(), order.len());
+            for (&i, g) in order.iter().zip(&got) {
+                assert_eq!(
+                    g, &expect[i],
+                    "{} (workers {workers}, reversed {reversed})",
+                    configs[i].0
+                );
+            }
         }
     }
 
@@ -86,9 +100,10 @@ fn engine_counters_byte_identical_to_sequential_replay_on_all_examples() {
     let got = Sweep::new()
         .workers(3)
         .chunk_ops(2048)
-        .run_source(&mut models, IterRefSource::new(refs.iter().copied()))
+        .run_source_isolated(&mut models, IterRefSource::new(refs.iter().copied()))
         .unwrap();
-    assert_eq!(got, expect);
+    let got: Vec<&ModelStats> = got.iter().map(|o| o.stats().expect("completed")).collect();
+    assert_eq!(got, expect.iter().collect::<Vec<_>>());
 }
 
 #[test]

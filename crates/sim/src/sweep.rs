@@ -446,8 +446,7 @@ impl<'m, C: Clone> Board<'m, C> {
     /// The calling worker's next job, filling `turn` for a replay; or
     /// `None` when it has to wait for another worker.
     fn next_job(&mut self, producer: bool, turn: &mut Vec<C>) -> Option<Job<'m>> {
-        // Drop the chunks every live model has replayed, so their
-        // buffers can be refilled.
+        // Drop the chunks every live model has replayed, for refilling.
         let low = self.next.iter().copied().min().unwrap_or(usize::MAX);
         while self.base < low && self.window.pop_front().is_some() {
             self.base += 1;
@@ -462,8 +461,7 @@ impl<'m, C: Clone> Board<'m, C> {
             turn.extend(self.window.range(from..).take(TURN_CHUNKS).cloned());
             return Some(Job::Replay(seat));
         }
-        // The window empties only once every live model has replayed
-        // every released chunk.
+        // Only an empty window means every live model is up to date.
         (self.ended && self.window.is_empty()).then_some(Job::Done)
     }
 
@@ -495,12 +493,13 @@ impl<'m, C: Clone> Board<'m, C> {
 /// (with a count of the workers waiting on it) for several.
 trait Hub<B> {
     /// Runs `step` on the board until it yields a job, waiting for
-    /// another worker to change the board in between.
-    fn visit<R>(&self, step: impl FnMut(&mut B) -> Option<R>) -> R;
+    /// another worker to change the board in between. `changes`: the
+    /// first step publishes a chunk or puts a seat back.
+    fn visit<R>(&self, changes: bool, step: impl FnMut(&mut B) -> Option<R>) -> R;
 }
 
 impl<B> Hub<B> for RefCell<B> {
-    fn visit<R>(&self, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
+    fn visit<R>(&self, _: bool, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
         // A full window always holds a chunk some queued model has yet
         // to replay, so a lone worker never waits.
         step(&mut self.borrow_mut()).expect("a lone worker never waits")
@@ -508,14 +507,17 @@ impl<B> Hub<B> for RefCell<B> {
 }
 
 impl<B> Hub<B> for (Mutex<(B, usize)>, Condvar) {
-    fn visit<R>(&self, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
+    fn visit<R>(&self, mut changes: bool, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
         let mut guard = self.0.lock().expect("sweep board");
         loop {
             let (board, waiting) = &mut *guard;
-            if let Some(job) = step(board) {
-                if *waiting > 0 {
-                    self.1.notify_all();
-                }
+            let job = step(board);
+            // Wake waiters on any change, job or not: a quarantine can
+            // free window room, or end the sweep, for another worker.
+            if std::mem::take(&mut changes) && *waiting > 0 {
+                self.1.notify_all();
+            }
+            if let Some(job) = job {
                 return job;
             }
             *waiting += 1;
@@ -542,7 +544,7 @@ where
     let mut finished: Option<(Seat<'m>, usize, Option<Panic>)> = None;
     let mut source_panic = None;
     loop {
-        let job = hub.visit(|board| {
+        let job = hub.visit(produced.is_some() || finished.is_some(), |board| {
             if let Some(chunk) = produced.take() {
                 board.publish(chunk);
             }
@@ -1205,6 +1207,78 @@ mod tests {
             assert_eq!(ms[0].stats(), expect[0], "workers {workers}");
             assert_eq!(ms[2].stats(), expect[1], "workers {workers}");
         }
+    }
+
+    /// A model that sleeps through its first turn, then panics.
+    struct SlowPoison;
+
+    impl MemoryModel for SlowPoison {
+        fn access(&mut self, _: MemRef) -> crate::model::AccessOutcome {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            panic!("slow poison");
+        }
+        fn stats(&self) -> ModelStats {
+            ModelStats::single("slow poison", Default::default())
+        }
+        fn reset(&mut self) {}
+        fn describe(&self) -> String {
+            "slow poison".to_owned()
+        }
+    }
+
+    /// A source that stalls on its second chunk, long enough for a
+    /// second worker to take the first queued model.
+    struct StallingSource {
+        refs: Vec<MemRef>,
+        read: usize,
+    }
+
+    impl RefSource for StallingSource {
+        type Error = std::convert::Infallible;
+
+        fn read_ref_chunk(
+            &mut self,
+            out: &mut Vec<MemRef>,
+            max: usize,
+        ) -> Result<usize, Self::Error> {
+            self.read += 1;
+            if self.read == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            let take = max.min(self.refs.len());
+            out.clear();
+            out.extend(self.refs.drain(..take));
+            Ok(take)
+        }
+    }
+
+    #[test]
+    fn quarantine_that_frees_the_window_wakes_the_producer() {
+        // Worker 1 takes the slow model with the first chunk. Worker 0
+        // fills the window (9 chunks at 2 workers), brings the fast
+        // model up to date and waits for room. The slow model then
+        // panics while every other chunk of the 40 is still unread: its
+        // quarantine empties the window, and must wake worker 0.
+        let refs = mixed_refs(4_000);
+        let expect = models(&[IndexSpec::modulo()])[0].run_refs(&refs);
+        let (done, outcome) = std::sync::mpsc::channel();
+        let source = StallingSource {
+            refs: refs.clone(),
+            read: 0,
+        };
+        std::thread::spawn(move || {
+            let mut ms: Vec<Box<dyn MemoryModel>> = vec![Box::new(SlowPoison)];
+            ms.extend(models(&[IndexSpec::modulo()]));
+            let sweep = Sweep::new().workers(2).chunk_ops(100);
+            done.send(sweep.run_source_isolated(&mut ms, source))
+                .unwrap();
+        });
+        let got = outcome
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the sweep finishes")
+            .unwrap_or_else(|e| match e {});
+        assert_eq!(got[0].failure(), Some("slow poison"));
+        assert_eq!(got[1], ModelOutcome::Completed(expect));
     }
 
     #[test]

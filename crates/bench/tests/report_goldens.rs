@@ -165,3 +165,65 @@ fn run_reports_match_their_goldens() {
         assert_json_matches(&got, "run", &args, &format!("run_{name}.json"));
     }
 }
+
+/// `trace info --verify` and `replay --mode lenient` over a v2 and a v3
+/// file cut short by `trace gen --inject truncate=…`: the skip tally
+/// behind the exit-code contract. Both reports title the input path as
+/// given, so the files are written to a fixed path relative to the
+/// repository root; `notes` (replay timings) are dropped.
+#[test]
+fn damaged_trace_reports_match_their_goldens() {
+    enter_repo_root();
+    let dir = "target/report-goldens";
+    std::fs::create_dir_all(dir).expect("golden input directory");
+    for (format, name) in [("binary", "v2"), ("columnar", "v3")] {
+        let path = format!("{dir}/damaged_{name}.trace");
+        render_json(
+            "trace-gen",
+            &[
+                "--bench",
+                "swim",
+                "--ops",
+                "50000",
+                "--out",
+                &path,
+                "--format",
+                format,
+                "--inject",
+                "truncate=60000",
+            ],
+        );
+        for (experiment, args, golden) in [
+            (
+                "trace-info",
+                vec![path.as_str(), "--verify", "true"],
+                format!("report_trace_info_damaged_{name}.json"),
+            ),
+            (
+                "replay",
+                vec![
+                    "--trace",
+                    path.as_str(),
+                    "--scheme",
+                    "ipoly-skew",
+                    "--mode",
+                    "lenient",
+                ],
+                format!("report_replay_lenient_{name}.json"),
+            ),
+        ] {
+            let json = render_json(experiment, &args);
+            let got = match json.find(",\"notes\":[") {
+                Some(notes) => {
+                    assert!(
+                        json.ends_with("]}"),
+                        "{experiment}: notes are not the last field"
+                    );
+                    format!("{}}}", &json[..notes])
+                }
+                None => json,
+            };
+            assert_json_matches(&got, experiment, &args, &golden);
+        }
+    }
+}

@@ -13,7 +13,7 @@
 //! that protects every other fast path in this repo.
 
 use super::common::parse_benchmark;
-use super::tools::AnySource;
+use super::tools::open_trace_file;
 use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
@@ -21,7 +21,7 @@ use cac_core::{parse_size, CacheGeometry};
 use cac_sim::analytic::{birthday_collision_probability, expected_overflow_blocks, AnalyticModel};
 use cac_sim::sweep::LruStackSweep;
 use cac_sim::SimConfig;
-use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
+use cac_trace::io::{DecodeMode, RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::kernels::mem_refs;
 use cac_trace::MemRef;
 
@@ -31,7 +31,7 @@ use cac_trace::MemRef;
 /// stack-distance counts exact for the paper's write-through L1.
 fn observe_loads(a: &ExpArgs, sweep: &mut LruStackSweep) -> Result<(), DriverError> {
     if a.is_set("trace") {
-        let mut source = AnySource::open(a.str("trace"))?;
+        let mut source = open_trace_file(a.str("trace"), DecodeMode::Strict)?;
         let mut buf: Vec<MemRef> = Vec::with_capacity(DEFAULT_CHUNK_OPS);
         while source.read_ref_chunk(&mut buf, DEFAULT_CHUNK_OPS)? > 0 {
             for r in &buf {
@@ -200,7 +200,7 @@ fn geometry(size: u64, line: u64, ways: u32) -> Option<CacheGeometry> {
 fn collect_loads(a: &ExpArgs) -> Result<Vec<MemRef>, DriverError> {
     let mut loads: Vec<MemRef> = Vec::new();
     if a.is_set("trace") {
-        let mut source = AnySource::open(a.str("trace"))?;
+        let mut source = open_trace_file(a.str("trace"), DecodeMode::Strict)?;
         let mut buf: Vec<MemRef> = Vec::with_capacity(DEFAULT_CHUNK_OPS);
         while source.read_ref_chunk(&mut buf, DEFAULT_CHUNK_OPS)? > 0 {
             loads.extend(buf.iter().filter(|r| !r.is_write));

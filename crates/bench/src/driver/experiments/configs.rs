@@ -16,7 +16,7 @@
 //! report is byte-identical to an uninterrupted one.
 
 use super::common::parse_benchmark;
-use super::tools::AnySource;
+use super::tools::open_trace_file;
 use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
@@ -24,7 +24,7 @@ use cac_sim::journal::{fingerprint, Journal};
 use cac_sim::model::ModelStats;
 use cac_sim::sweep::{ModelOutcome, Sweep};
 use cac_sim::SimConfig;
-use cac_trace::io::{ChunkSource, IterRefSource};
+use cac_trace::io::{ChunkSource, DecodeMode, IterRefSource};
 use cac_trace::{MemRef, TraceOp};
 use std::path::Path;
 use std::time::Instant;
@@ -136,7 +136,7 @@ fn run_single(a: &ExpArgs, path: &str) -> Result<Report, DriverError> {
             model.run_refs(&refs);
         }
     } else {
-        let mut source = AnySource::open(&trace)?;
+        let mut source = open_trace_file(&trace, DecodeMode::Strict)?;
         workload = trace.clone();
         let mut ops: Vec<TraceOp> = Vec::with_capacity(chunk);
         while source.read_chunk(&mut ops, chunk)? > 0 {
@@ -195,7 +195,7 @@ fn replay_cell(
             .run_source_isolated(&mut models, IterRefSource::new(gen))
             .unwrap_or_else(|e| match e {})
     } else {
-        let source = AnySource::open(trace)?;
+        let source = open_trace_file(trace, DecodeMode::Strict)?;
         engine.run_source_isolated(&mut models, source)?
     };
     Ok(outcomes.remove(0))

@@ -14,13 +14,12 @@ use cac_sim::cache::Cache;
 use cac_sim::replay::{run_cache_chunked, run_cache_source};
 use cac_trace::fault::{FaultSource, FaultSpec};
 use cac_trace::io::{
-    read_trace, sniff_format, write_trace, write_trace_columnar, BinaryTraceReader,
-    BinaryTraceWriter, ChunkSource, ColumnBytes, ColumnarTraceReader, ColumnarTraceWriter,
-    DecodeMode, RefSource, SkipReport, TraceFormat, DEFAULT_CHUNK_OPS,
+    open_trace, write_trace, write_trace_columnar, AnyTraceReader, BinaryTraceWriter, ChunkSource,
+    ColumnarTraceWriter, DecodeMode, SkipReport, TraceFormat, DEFAULT_CHUNK_OPS,
 };
-use cac_trace::{MemRef, OpClass, TraceOp};
+use cac_trace::OpClass;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Write};
 use std::time::Instant;
 
 /// Parses the shared `--mode strict|lenient` trace-decode flag.
@@ -56,163 +55,14 @@ fn parse_file_format(s: &str) -> Result<TraceFormat, DriverError> {
     }
 }
 
-/// Opens a trace file and detects its format from the leading bytes
-/// (five are needed: the columnar format shares the `CACT` magic and
-/// differs only in the version byte).
-fn open_sniffed(path: &str) -> Result<(File, TraceFormat), DriverError> {
-    let mut f =
+/// Opens a trace file of any format through [`open_trace`].
+pub(super) fn open_trace_file(
+    path: &str,
+    mode: DecodeMode,
+) -> Result<AnyTraceReader<File>, DriverError> {
+    let file =
         File::open(path).map_err(|e| DriverError::Input(format!("cannot open {path}: {e}")))?;
-    let mut prefix = [0u8; 5];
-    let mut got = 0;
-    while got < prefix.len() {
-        match f.read(&mut prefix[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) => return Err(DriverError::Input(format!("cannot read {path}: {e}"))),
-        }
-    }
-    let format = sniff_format(&prefix[..got]);
-    f.seek(SeekFrom::Start(0))
-        .map_err(|e| DriverError::Input(format!("cannot rewind {path}: {e}")))?;
-    Ok((f, format))
-}
-
-/// A [`ChunkSource`] with a unified error type, so the tools (and the
-/// `cac run` config driver) can stream either format through one code
-/// path.
-pub(super) enum AnySource {
-    Binary(BinaryTraceReader<BufReader<File>>),
-    // Boxed: the columnar reader's scratch makes it much larger
-    // than its siblings.
-    Columnar(Box<ColumnarTraceReader<BufReader<File>>>),
-    Text(cac_trace::io::ReadTrace<File>),
-}
-
-/// Decode-side statistics of a columnar stream, for `trace info`.
-pub(super) struct ColumnarStats {
-    pub columns: ColumnBytes,
-    pub payload_bytes: u64,
-    pub blocks: u64,
-    pub index_entries: u64,
-    pub refs: u64,
-}
-
-impl ColumnarStats {
-    /// The fixed-width bytes the packed payload replaces: per record
-    /// 1 tag, 8 pc, 8 target and 3 register bytes, plus 8 address
-    /// bytes per memory reference.
-    pub(super) fn payload_unpacked(&self, records: u64) -> u64 {
-        records * (1 + 8 + 8 + 3) + self.refs * 8
-    }
-}
-
-impl AnySource {
-    pub(super) fn open(path: &str) -> Result<Self, DriverError> {
-        AnySource::open_with_mode(path, DecodeMode::Strict)
-    }
-
-    /// Opens a trace with an explicit decode mode. Lenient mode only
-    /// affects binary traces (text streams have per-line recovery
-    /// anyway); skip accounting is read back with
-    /// [`AnySource::skipped`].
-    pub(super) fn open_with_mode(path: &str, mode: DecodeMode) -> Result<Self, DriverError> {
-        let (file, format) = open_sniffed(path)?;
-        match format {
-            TraceFormat::Binary => {
-                let reader = BinaryTraceReader::with_mode(BufReader::new(file), mode)
-                    .map_err(|e| DriverError::Input(format!("{path}: {e}")))?;
-                Ok(AnySource::Binary(reader))
-            }
-            TraceFormat::Columnar => {
-                let reader = ColumnarTraceReader::with_mode(BufReader::new(file), mode)
-                    .map_err(|e| DriverError::Input(format!("{path}: {e}")))?;
-                Ok(AnySource::Columnar(Box::new(reader)))
-            }
-            TraceFormat::Text => Ok(AnySource::Text(read_trace(file))),
-        }
-    }
-
-    pub(super) fn format(&self) -> TraceFormat {
-        match self {
-            AnySource::Binary(_) => TraceFormat::Binary,
-            AnySource::Columnar(_) => TraceFormat::Columnar,
-            AnySource::Text(_) => TraceFormat::Text,
-        }
-    }
-
-    /// What a lenient binary/columnar decode skipped so far (empty for
-    /// text).
-    pub(super) fn skipped(&self) -> SkipReport {
-        match self {
-            AnySource::Binary(r) => r.skipped(),
-            AnySource::Columnar(r) => r.skipped(),
-            AnySource::Text(_) => SkipReport::default(),
-        }
-    }
-
-    /// Column/index statistics, for columnar streams only.
-    pub(super) fn columnar_stats(&self) -> Option<ColumnarStats> {
-        match self {
-            AnySource::Columnar(r) => Some(ColumnarStats {
-                columns: r.column_bytes(),
-                payload_bytes: r.payload_bytes(),
-                blocks: r.blocks_decoded(),
-                index_entries: r.index_entries(),
-                refs: r.refs_decoded(),
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl ChunkSource for AnySource {
-    type Error = DriverError;
-
-    fn read_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> Result<usize, DriverError> {
-        match self {
-            AnySource::Binary(r) => r
-                .read_chunk(out, max)
-                .map_err(|e| DriverError::Input(e.to_string())),
-            AnySource::Columnar(r) => r
-                .read_chunk(out, max)
-                .map_err(|e| DriverError::Input(e.to_string())),
-            AnySource::Text(r) => {
-                ChunkSource::read_chunk(r, out, max).map_err(|e| DriverError::Input(e.to_string()))
-            }
-        }
-    }
-}
-
-impl RefSource for AnySource {
-    type Error = DriverError;
-
-    fn read_ref_chunk(&mut self, out: &mut Vec<MemRef>, max: usize) -> Result<usize, DriverError> {
-        match self {
-            // Binary and columnar traces take the fused
-            // decode-to-MemRef path.
-            AnySource::Binary(r) => r
-                .read_ref_chunk(out, max)
-                .map_err(|e| DriverError::Input(e.to_string())),
-            AnySource::Columnar(r) => r
-                .read_ref_chunk(out, max)
-                .map_err(|e| DriverError::Input(e.to_string())),
-            AnySource::Text(r) => {
-                out.clear();
-                let mut ops: Vec<TraceOp> = Vec::new();
-                while out.len() < max {
-                    let want = max - out.len();
-                    if ChunkSource::read_chunk(r, &mut ops, want)
-                        .map_err(|e| DriverError::Input(e.to_string()))?
-                        == 0
-                    {
-                        break;
-                    }
-                    out.extend(ops.iter().filter_map(TraceOp::mem_ref));
-                }
-                Ok(out.len())
-            }
-        }
-    }
+    open_trace(file, mode).map_err(|e| DriverError::Input(format!("{path}: {e}")))
 }
 
 fn format_name(f: TraceFormat) -> &'static str {
@@ -320,7 +170,7 @@ pub(super) fn trace_convert(a: &ExpArgs) -> Result<Report, DriverError> {
             "usage: cac trace convert <input> <output> [--to binary|text]".into(),
         ));
     }
-    let mut source = AnySource::open(input)?;
+    let mut source = open_trace_file(input, DecodeMode::Strict)?;
     let to = if a.is_set("to") {
         parse_file_format(a.str("to"))?
     } else {
@@ -393,7 +243,7 @@ pub(super) fn trace_info(a: &ExpArgs) -> Result<Report, DriverError> {
     } else {
         DecodeMode::Strict
     };
-    let mut source = AnySource::open_with_mode(input, mode)?;
+    let mut source = open_trace_file(input, mode)?;
     let format = source.format();
 
     let mut buf = Vec::with_capacity(DEFAULT_CHUNK_OPS);
@@ -447,24 +297,28 @@ pub(super) fn trace_info(a: &ExpArgs) -> Result<Report, DriverError> {
     let mut report = Report::new(format!("trace info: {input}"))
         .param("input", input)
         .table(table);
-    if let Some(cs) = source.columnar_stats() {
+    if let AnyTraceReader::Columnar(r) = &source {
         // Column-split storage: report where the bytes went and what
         // the delta/bit-packing bought. The "unpacked" reference is the
-        // fixed-width record layout the columns replace (1 tag + 8 pc +
-        // 8 addr/target + up to 3 reg bytes per record).
-        let unpacked = cs.payload_unpacked(total);
+        // fixed-width record layout the columns replace: per record 1
+        // tag, 8 pc, 8 target and 3 register bytes, plus 8 address
+        // bytes per memory reference.
+        let (columns, payload_bytes, blocks) =
+            (r.column_bytes(), r.payload_bytes(), r.blocks_decoded());
+        let refs = r.refs_decoded();
+        let unpacked = total * (1 + 8 + 8 + 3) + refs * 8;
         let mut cols = Table::new(
             "columnar storage",
             &["column", "bytes", "bytes/record", "share %"],
         );
         let per = |b: u64, n: u64| Value::f(b as f64 / n.max(1) as f64, 3);
-        let share = |b: u64| Value::f(100.0 * b as f64 / cs.payload_bytes.max(1) as f64, 1);
+        let share = |b: u64| Value::f(100.0 * b as f64 / payload_bytes.max(1) as f64, 1);
         for (name, bytes, records) in [
-            ("tags", cs.columns.tags, total),
-            ("pc deltas", cs.columns.pc, total),
-            ("addr deltas", cs.columns.addr, cs.refs),
-            ("branch target deltas", cs.columns.target, total),
-            ("registers", cs.columns.regs, total),
+            ("tags", columns.tags, total),
+            ("pc deltas", columns.pc, total),
+            ("addr deltas", columns.addr, refs),
+            ("branch target deltas", columns.target, total),
+            ("registers", columns.regs, total),
         ] {
             cols.push_row(vec![
                 Value::s(name),
@@ -475,29 +329,29 @@ pub(super) fn trace_info(a: &ExpArgs) -> Result<Report, DriverError> {
         }
         cols.push_row(vec![
             Value::s("total payload"),
-            Value::u(cs.payload_bytes),
-            per(cs.payload_bytes, total),
+            Value::u(payload_bytes),
+            per(payload_bytes, total),
             Value::f(100.0, 1),
         ]);
         report = report.table(cols).table(
             Table::new("block index", &["field", "value"])
-                .row(vec![Value::s("blocks decoded"), Value::u(cs.blocks)])
-                .row(vec![Value::s("index entries"), Value::u(cs.index_entries)])
+                .row(vec![Value::s("blocks decoded"), Value::u(blocks)])
+                .row(vec![Value::s("index entries"), Value::u(r.index_entries())])
                 .row(vec![
                     Value::s("records/block (mean)"),
-                    Value::f(total as f64 / cs.blocks.max(1) as f64, 1),
+                    Value::f(total as f64 / blocks.max(1) as f64, 1),
                 ])
                 .row(vec![
                     Value::s("payload bytes/block (mean)"),
-                    Value::f(cs.payload_bytes as f64 / cs.blocks.max(1) as f64, 1),
+                    Value::f(payload_bytes as f64 / blocks.max(1) as f64, 1),
                 ])
                 .row(vec![
                     Value::s("compression vs fixed-width"),
                     Value::s(format!(
                         "{:.2}x ({} -> {} bytes)",
-                        unpacked as f64 / cs.payload_bytes.max(1) as f64,
+                        unpacked as f64 / payload_bytes.max(1) as f64,
                         unpacked,
-                        cs.payload_bytes
+                        payload_bytes
                     )),
                 ]),
         );
@@ -537,26 +391,18 @@ pub(super) fn replay(a: &ExpArgs) -> Result<Report, DriverError> {
     let mode = parse_decode_mode(a.str("mode"))?;
     let mut cache = Cache::build(geom, scheme.clone())?;
 
-    let source = AnySource::open_with_mode(trace, mode)?;
+    let source = open_trace_file(trace, mode)?;
     let format = source.format();
     let start = Instant::now();
     // Binary and columnar traces take the MemRef fast path; text
     // streams go through the generic chunked op replay.
-    let mut skip = SkipReport::default();
-    let stats = match source {
-        AnySource::Binary(mut reader) => {
-            let stats = run_cache_source(&mut cache, &mut reader)
-                .map_err(|e| DriverError::Input(e.to_string()))?;
-            skip = reader.skipped();
-            stats
-        }
-        AnySource::Columnar(mut reader) => {
-            let stats = run_cache_source(&mut cache, &mut *reader)
-                .map_err(|e| DriverError::Input(e.to_string()))?;
-            skip = reader.skipped();
-            stats
-        }
-        text => run_cache_chunked(&mut cache, text, chunk)?,
+    let (stats, skip) = match source {
+        AnyTraceReader::Text(text) => (
+            run_cache_chunked(&mut cache, text, chunk)
+                .map_err(|e| DriverError::Input(e.to_string()))?,
+            SkipReport::default(),
+        ),
+        mut framed => (run_cache_source(&mut cache, &mut framed)?, framed.skipped()),
     };
     let elapsed = start.elapsed();
 

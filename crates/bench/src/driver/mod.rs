@@ -70,6 +70,13 @@ impl From<cac_core::Error> for DriverError {
     }
 }
 
+/// A trace that fails to decode is bad input.
+impl From<cac_trace::io::TraceReadError> for DriverError {
+    fn from(e: cac_trace::io::TraceReadError) -> Self {
+        DriverError::Input(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for DriverError {
     fn from(e: std::io::Error) -> Self {
         DriverError::Failed(e.to_string())

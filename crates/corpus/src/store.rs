@@ -27,10 +27,11 @@ use crate::manifest::{Manifest, QuarantineEntry, TraceEntry};
 use crate::{content_hash, CorpusError};
 use cac_trace::io::commitfs::{CommitFs, DiskFs};
 use cac_trace::io::{
-    read_trace, sniff_format, ColumnarFile, ColumnarTraceReader, ColumnarTraceWriter, TraceFormat,
+    open_trace, ChunkSource, ColumnarFile, ColumnarTraceReader, ColumnarTraceWriter, DecodeMode,
+    TraceReadError, DEFAULT_CHUNK_OPS,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Name of the manifest file inside the corpus directory.
@@ -404,67 +405,37 @@ impl Corpus {
     }
 }
 
-/// Streams every record of `source` (any sniffable format) into the
-/// columnar writer, returning `(ops, refs)` written.
+/// Streams every record of `source` (any format [`open_trace`] reads)
+/// into the columnar writer, returning `(ops, refs)` written.
 fn transcode_into<W: Write>(
     source: &Path,
     writer: &mut ColumnarTraceWriter<W>,
 ) -> Result<(u64, u64), CorpusError> {
-    let mut file = File::open(source)
-        .map_err(|e| CorpusError::io(format!("opening {}", source.display()), e))?;
-    let mut prefix = [0u8; 5];
-    let mut got = 0usize;
-    while got < prefix.len() {
-        match file
-            .read(&mut prefix[got..])
-            .map_err(|e| CorpusError::io(format!("reading {}", source.display()), e))?
-        {
-            0 => break,
-            n => got += n,
-        }
-    }
-    // Re-open rather than seek so the format-specific readers each see
-    // the stream from byte zero (text input may be a pipe-unfriendly
-    // special file; plain reopen is the simplest correct move).
-    drop(file);
     let file = File::open(source)
-        .map_err(|e| CorpusError::io(format!("reopening {}", source.display()), e))?;
+        .map_err(|e| CorpusError::io(format!("opening {}", source.display()), e))?;
+    let mut reader = open_trace(file, DecodeMode::Strict)?;
+    let mut buf = Vec::with_capacity(DEFAULT_CHUNK_OPS);
     let mut ops = 0u64;
     let mut refs = 0u64;
-    let mut push =
-        |op: cac_trace::TraceOp, writer: &mut ColumnarTraceWriter<W>| -> Result<(), CorpusError> {
-            ops += 1;
+    loop {
+        match reader.read_chunk(&mut buf, DEFAULT_CHUNK_OPS) {
+            Ok(0) => return Ok((ops, refs)),
+            Ok(n) => ops += n as u64,
+            Err(TraceReadError::Framed(e)) => return Err(e.into()),
+            Err(TraceReadError::Text(e)) => {
+                return Err(CorpusError::io(
+                    format!("parsing text trace {}", source.display()),
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
+                ))
+            }
+        }
+        for &op in &buf {
             refs += u64::from(op.mem_ref().is_some());
             writer
                 .write_op(op)
-                .map_err(|e| CorpusError::io("writing columnar block", e))
-        };
-    match sniff_format(&prefix[..got]) {
-        TraceFormat::Text => {
-            for op in read_trace(BufReader::new(file)) {
-                let op = op.map_err(|e| {
-                    CorpusError::io(
-                        format!("parsing text trace {}", source.display()),
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-                    )
-                })?;
-                push(op, writer)?;
-            }
-        }
-        TraceFormat::Binary => {
-            let mut reader = cac_trace::io::BinaryTraceReader::new(BufReader::new(file))?;
-            while let Some(op) = reader.next_op()? {
-                push(op, writer)?;
-            }
-        }
-        TraceFormat::Columnar => {
-            let mut reader = ColumnarTraceReader::new(BufReader::new(file))?;
-            while let Some(op) = reader.next_op()? {
-                push(op, writer)?;
-            }
+                .map_err(|e| CorpusError::io("writing columnar block", e))?;
         }
     }
-    Ok((ops, refs))
 }
 
 pub(crate) fn validate_name(name: &str) -> Result<(), CorpusError> {

@@ -160,14 +160,11 @@ fn model_matches_simulation_on_a_traced_workload() {
     write_trace_binary(&mut encoded, ops.iter().copied()).expect("encode");
 
     let mut traced: Vec<MemRef> = Vec::new();
-    BinaryTraceReader::new(Cursor::new(encoded))
-        .expect("trace header")
-        .for_each_ref(|r| {
-            if !r.is_write {
-                traced.push(r);
-            }
-        })
-        .expect("decode");
+    let mut reader = BinaryTraceReader::new(Cursor::new(encoded)).expect("trace header");
+    let mut chunk = Vec::new();
+    while reader.read_ref_chunk(&mut chunk, 4096).expect("decode") > 0 {
+        traced.extend(chunk.iter().filter(|r| !r.is_write));
+    }
     let direct: Vec<MemRef> = mem_refs(ops.into_iter()).filter(|r| !r.is_write).collect();
     assert_eq!(traced, direct, "trace round trip must preserve the loads");
 

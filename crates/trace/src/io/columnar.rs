@@ -55,10 +55,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use super::binary::{block_checksum, BinaryTraceError, DecodeMode, SkipReport};
-use super::{ChunkSource, BINARY_MAGIC, HEADER_LEN, MAX_BLOCK_LEN};
+use super::binary::{block_checksum, BinaryTraceError};
+use super::framed::{
+    compute_tag, le_u32, reg_byte, zigzag_decode, zigzag_encode, BlockDecoder, BlockHeader, Frame,
+    FramedReader, FramedStream, Framing, COMPUTE_CLASSES, REG_NONE, TAG_BRANCH_NOT_TAKEN,
+    TAG_BRANCH_TAKEN, TAG_LOAD, TAG_STORE,
+};
+use super::{BINARY_MAGIC, HEADER_LEN, MAX_BLOCK_LEN};
 use crate::record::{MemRef, OpClass, TraceOp};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::RangeInclusive;
 
 /// Header version byte identifying the columnar format.
 pub const COLUMNAR_VERSION: u8 = 3;
@@ -95,34 +101,6 @@ const MINIBLOCK: usize = 64;
 /// above is treated as damage before any allocation happens.
 const MAX_BLOCK_RECORDS: u32 = 1 << 20;
 
-/// Register-operand byte meaning "absent" (shared with v1/v2).
-const REG_NONE: u8 = 0xFF;
-
-// Tag nibbles: identical numbering to the v2 tag byte, so 0..=6 are the
-// compute classes in `OpClass` order. A nibble above TAG_BRANCH_TAKEN
-// is structurally invalid.
-const TAG_LOAD: u8 = 7;
-const TAG_STORE: u8 = 8;
-const TAG_BRANCH_NOT_TAKEN: u8 = 9;
-const TAG_BRANCH_TAKEN: u8 = 10;
-
-const COMPUTE_CLASSES: [OpClass; 7] = [
-    OpClass::IntAlu,
-    OpClass::IntMul,
-    OpClass::IntDiv,
-    OpClass::FpAdd,
-    OpClass::FpMul,
-    OpClass::FpDiv,
-    OpClass::FpSqrt,
-];
-
-fn compute_tag(class: OpClass) -> u8 {
-    COMPUTE_CLASSES
-        .iter()
-        .position(|&c| c == class)
-        .expect("compute class") as u8
-}
-
 /// Register bytes a record of `tag` contributes to the register column.
 fn regs_for_tag(tag: u8) -> usize {
     match tag {
@@ -137,20 +115,6 @@ fn regs_for_tag(tag: u8) -> usize {
 /// verification exactly like a flipped payload byte.
 pub fn col_block_checksum(payload: &[u8], records: u32, refs: u32) -> u32 {
     block_checksum(payload) ^ records.rotate_left(16) ^ refs.wrapping_mul(0x9E37_79B9)
-}
-
-#[inline]
-fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn reg_byte(r: Option<u8>) -> u8 {
-    r.unwrap_or(REG_NONE)
 }
 
 /// Bit-packs `vals` as miniblocks of [`MINIBLOCK`] values: one width
@@ -1085,8 +1049,8 @@ impl BlockScratch {
     }
 
     /// Drains memory references into `out` until the block is exhausted
-    /// or `out` reaches `max`, advancing all cursors as if each record
-    /// had gone through [`take_ref`](BlockScratch::take_ref).
+    /// or `out` reaches `max`, advancing every cursor past each record
+    /// it consumes.
     fn drain_refs(&mut self, out: &mut Vec<MemRef>, max: usize) {
         let mut rec = self.rec;
         let mut mem = self.mem;
@@ -1116,31 +1080,6 @@ impl BlockScratch {
         self.br = br;
         self.reg = reg;
     }
-
-    /// Advances the drain cursor to the next memory record and returns
-    /// its reference, or `None` if the block has no more references.
-    fn take_ref(&mut self) -> Option<MemRef> {
-        while self.rec < self.tags.len() {
-            let tag = self.tags[self.rec];
-            let pc = self.pcs[self.rec];
-            self.rec += 1;
-            self.reg += regs_for_tag(tag);
-            match tag {
-                TAG_LOAD | TAG_STORE => {
-                    let addr = self.addrs[self.mem];
-                    self.mem += 1;
-                    return Some(MemRef {
-                        pc,
-                        addr,
-                        is_write: tag == TAG_STORE,
-                    });
-                }
-                TAG_BRANCH_NOT_TAKEN | TAG_BRANCH_TAKEN => self.br += 1,
-                _ => {}
-            }
-        }
-        None
-    }
 }
 
 /// Per-column encoded byte totals, tallied by the streaming reader for
@@ -1159,34 +1098,49 @@ pub struct ColumnBytes {
     pub regs: u64,
 }
 
-/// Streaming reader for the columnar format, over any [`Read`].
+/// Streaming reader for the columnar format, over any [`Read`]: the
+/// shared [`FramedReader`] over the v3 column decode.
 ///
 /// Decodes one whole block of columns at a time (a verified block's
 /// payload is validated end to end before a single record is
-/// delivered), then drains it through the same [`ChunkSource`] /
-/// [`RefSource`](super::RefSource) / [`Iterator`] surface as
-/// [`BinaryTraceReader`](super::BinaryTraceReader). Errors reuse
-/// [`BinaryTraceError`] — same strict/lenient [`DecodeMode`] semantics,
-/// same [`SkipReport`] tally — so every replay consumer treats v2 and
-/// v3 uniformly.
+/// delivered), then drains it. Errors, [`DecodeMode`](super::DecodeMode)s and the
+/// [`SkipReport`](super::SkipReport) tally are the v2 reader's, so
+/// every replay consumer treats v2 and v3 uniformly.
 ///
 /// Unlike v2, a truncated tail is *always* detected: a well-formed file
 /// ends in an index and footer, so hitting end-of-stream without them
 /// is damage even when the cut lands exactly on a block boundary.
-#[derive(Debug)]
-pub struct ColumnarTraceReader<R: Read> {
-    inner: R,
-    buf: Vec<u8>,
-    pos: usize,
-    len: usize,
-    hit_eof: bool,
-    failed: bool,
-    mode: DecodeMode,
-    /// Absolute stream offset of `buf[0]`.
-    stream_base: u64,
-    blocks: u64,
-    skip: SkipReport,
-    ops: u64,
+pub type ColumnarTraceReader<R> = FramedReader<R, ColumnarBlocks>;
+
+/// The v3 block framing: `CCOL`, payload length, record and reference
+/// counts, and a checksum binding the payload and both counts. The
+/// block run ends at the `CIDX` index.
+const FRAMING: Framing = Framing {
+    marker: COL_BLOCK_MAGIC,
+    header_len: COL_BLOCK_HEADER_LEN,
+    trailer: Some(COL_INDEX_MAGIC),
+    parse: |h| {
+        let payload_len = le_u32(h, 4) as usize;
+        BlockHeader {
+            payload_len,
+            framed: COL_BLOCK_HEADER_LEN + payload_len,
+            records: le_u32(h, 8),
+            refs: le_u32(h, 12),
+            checksum: le_u32(h, 16),
+        }
+    },
+    implausible: |h| {
+        (h.payload_len > MAX_BLOCK_LEN || h.records > MAX_BLOCK_RECORDS || h.refs > h.records)
+            .then(|| "implausible block header".to_owned())
+    },
+    checksum: |h, payload| col_block_checksum(payload, h.records, h.refs),
+};
+
+/// The columnar format's payload decode: whole blocks of columns,
+/// drained record by record, and the trailing index check.
+#[derive(Debug, Default)]
+pub struct ColumnarBlocks {
+    /// Memory references among the decoded records.
     refs: u64,
     /// Set once the trailing index has been consumed (clean end).
     saw_index: bool,
@@ -1196,206 +1150,48 @@ pub struct ColumnarTraceReader<R: Read> {
     payload_bytes: u64,
 }
 
-impl<R: Read> ColumnarTraceReader<R> {
-    /// Opens a columnar trace in strict mode, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// [`BinaryTraceError::BadMagic`] /
-    /// [`BinaryTraceError::UnsupportedVersion`] on a foreign stream (a
-    /// v1/v2 file reports its version), [`BinaryTraceError::Truncated`]
-    /// if the stream ends inside the header, or an I/O error.
-    pub fn new(inner: R) -> Result<Self, BinaryTraceError> {
-        ColumnarTraceReader::with_mode(inner, DecodeMode::Strict)
-    }
-
-    /// Opens a columnar trace in lenient mode: damaged blocks are
-    /// skipped and tallied instead of failing the stream.
-    ///
-    /// # Errors
-    ///
-    /// As for [`new`](ColumnarTraceReader::new) — the file header must
-    /// still be intact.
-    pub fn new_lenient(inner: R) -> Result<Self, BinaryTraceError> {
-        ColumnarTraceReader::with_mode(inner, DecodeMode::Lenient)
-    }
-
-    /// Opens a columnar trace with an explicit [`DecodeMode`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`new`](ColumnarTraceReader::new).
-    pub fn with_mode(inner: R, mode: DecodeMode) -> Result<Self, BinaryTraceError> {
-        let mut r = ColumnarTraceReader {
-            inner,
-            buf: vec![0; 1 << 16],
-            pos: 0,
-            len: 0,
-            hit_eof: false,
-            failed: false,
-            mode,
-            stream_base: 0,
-            blocks: 0,
-            skip: SkipReport::default(),
-            ops: 0,
-            refs: 0,
-            saw_index: false,
-            index_entries: 0,
-            scratch: BlockScratch::default(),
-            col_bytes: ColumnBytes::default(),
-            payload_bytes: 0,
-        };
-        r.refill(0)?;
-        if r.len < HEADER_LEN {
-            let have = r.len.min(BINARY_MAGIC.len());
-            if r.len == 0 || r.buf[..have] != BINARY_MAGIC[..have] {
-                return Err(BinaryTraceError::BadMagic);
-            }
-            return Err(BinaryTraceError::Truncated {
-                ops_decoded: 0,
-                offset: r.len as u64,
-            });
-        }
-        if r.buf[..4] != BINARY_MAGIC {
-            return Err(BinaryTraceError::BadMagic);
-        }
-        if r.buf[4] != COLUMNAR_VERSION {
-            return Err(BinaryTraceError::UnsupportedVersion(r.buf[4]));
-        }
-        r.pos = HEADER_LEN;
-        Ok(r)
-    }
-
-    /// Number of records decoded so far.
-    pub fn ops_decoded(&self) -> u64 {
-        self.ops
-    }
-
+impl<R> ColumnarTraceReader<R> {
     /// Number of memory references among the decoded records.
     pub fn refs_decoded(&self) -> u64 {
-        self.refs
-    }
-
-    /// The stream's format version (always 3).
-    pub fn version(&self) -> u8 {
-        COLUMNAR_VERSION
-    }
-
-    /// The reader's error-handling mode.
-    pub fn mode(&self) -> DecodeMode {
-        self.mode
-    }
-
-    /// Verified blocks decoded so far.
-    pub fn blocks_decoded(&self) -> u64 {
-        self.blocks
-    }
-
-    /// What lenient decode has skipped so far (all zeros in strict mode
-    /// and on clean streams).
-    pub fn skipped(&self) -> SkipReport {
-        self.skip
+        self.decoder.refs
     }
 
     /// Entries the trailing index claimed (0 until the index is
     /// reached).
     pub fn index_entries(&self) -> u64 {
-        self.index_entries
+        self.decoder.index_entries
     }
 
     /// Encoded bytes per column across the verified blocks so far.
     pub fn column_bytes(&self) -> ColumnBytes {
-        self.col_bytes
+        self.decoder.col_bytes
     }
 
     /// Total verified block payload bytes so far (section prefixes
     /// included).
     pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
+        self.decoder.payload_bytes
     }
+}
 
-    fn offset_at(&self, pos: usize) -> u64 {
-        self.stream_base + pos as u64
-    }
-
-    fn refill(&mut self, needed: usize) -> Result<(), BinaryTraceError> {
-        self.stream_base += self.pos as u64;
-        self.buf.copy_within(self.pos..self.len, 0);
-        self.len -= self.pos;
-        self.pos = 0;
-        if self.buf.len() < needed {
-            self.buf.resize(needed, 0);
-        }
-        while self.len < self.buf.len() && !self.hit_eof {
-            match self.inner.read(&mut self.buf[self.len..]) {
-                Ok(0) => self.hit_eof = true,
-                Ok(n) => self.len += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    fn truncated(&self) -> BinaryTraceError {
-        BinaryTraceError::Truncated {
-            ops_decoded: self.ops,
-            offset: self.offset_at(self.len),
-        }
-    }
-
-    fn corrupt_at(&self, pos: usize, reason: impl Into<String>) -> BinaryTraceError {
-        BinaryTraceError::Corrupt {
-            op: self.ops,
-            offset: self.offset_at(pos),
-            reason: reason.into(),
-        }
-    }
-
-    /// Lenient-mode resynchronization: scan forward for the next
-    /// `CCOL` or `CIDX` marker.
-    fn resync(&mut self) -> Result<(), BinaryTraceError> {
-        self.skip.blocks += 1;
-        self.pos += 1;
-        self.skip.bytes += 1;
-        loop {
-            while self.len - self.pos >= 4 {
-                let m = &self.buf[self.pos..self.pos + 4];
-                if m == COL_BLOCK_MAGIC || m == COL_INDEX_MAGIC {
-                    return Ok(());
-                }
-                self.pos += 1;
-                self.skip.bytes += 1;
-            }
-            if self.hit_eof {
-                self.skip.bytes += (self.len - self.pos) as u64;
-                self.pos = self.len;
-                return Ok(());
-            }
-            self.refill(0)?;
-        }
-    }
-
+impl ColumnarBlocks {
     /// Consumes and validates the trailing index + footer. On success
     /// the stream is cleanly finished; structural damage is an error in
     /// strict mode and a tallied skip in lenient mode.
-    fn consume_index(&mut self) -> Result<(), BinaryTraceError> {
-        let index_offset = self.offset_at(self.pos);
+    fn consume_index<R: Read>(&mut self, s: &mut FramedStream<R>) -> Result<(), BinaryTraceError> {
+        let index_offset = s.offset_at(s.pos);
         // Buffer the whole tail: index sizes are bounded by block count
         // (20 bytes per ~4096 records), far below any problematic size.
-        loop {
-            if self.hit_eof {
-                break;
-            }
-            let want = (self.len - self.pos).max(1 << 16) * 2;
-            self.refill(want)?;
+        while !s.hit_eof {
+            let want = (s.len - s.pos).max(1 << 16) * 2;
+            s.refill(want)?;
         }
-        let tail = &self.buf[self.pos..self.len];
+        let tail = &s.buf[s.pos..s.len];
         let damage: Option<String> = 'v: {
             if tail.len() < 8 + COL_FOOTER_LEN {
                 break 'v Some("stream ends inside the block index".into());
             }
-            let count = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes")) as usize;
+            let count = le_u32(tail, 4) as usize;
             let entries_len = count * COL_INDEX_ENTRY_LEN;
             let expect = 8 + entries_len + 4 + COL_FOOTER_LEN;
             if tail.len() != expect {
@@ -1405,12 +1201,7 @@ impl<R: Read> ColumnarTraceReader<R> {
                 ));
             }
             let entries = &tail[8..8 + entries_len];
-            let stored = u32::from_le_bytes(
-                tail[8 + entries_len..12 + entries_len]
-                    .try_into()
-                    .expect("4"),
-            );
-            if block_checksum(entries) != stored {
+            if block_checksum(entries) != le_u32(tail, 8 + entries_len) {
                 break 'v Some("index checksum mismatch".into());
             }
             let footer = &tail[12 + entries_len..];
@@ -1418,53 +1209,43 @@ impl<R: Read> ColumnarTraceReader<R> {
                 break 'v Some("bad footer magic".into());
             }
             let footer_offset = u64::from_le_bytes(footer[..8].try_into().expect("8 bytes"));
-            let footer_count =
-                u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes")) as usize;
-            if footer_offset != index_offset || footer_count != count {
+            if footer_offset != index_offset || le_u32(footer, 8) as usize != count {
                 break 'v Some("footer disagrees with the index".into());
             }
             // In a strict (undamaged) walk the index must describe
             // exactly the blocks seen; a lenient walk may have skipped
             // some, so the counts legitimately differ.
-            if self.mode == DecodeMode::Strict && count as u64 != self.blocks {
+            if s.strict() && count as u64 != s.blocks {
                 break 'v Some(format!(
                     "index lists {count} blocks, stream held {}",
-                    self.blocks
+                    s.blocks
                 ));
             }
             self.index_entries = count as u64;
             None
         };
-        match damage {
-            None => {
-                self.saw_index = true;
-                self.pos = self.len;
-                Ok(())
+        if let Some(reason) = damage {
+            if s.strict() {
+                return Err(s.corrupt_at(s.pos, reason));
             }
-            Some(reason) => {
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.corrupt_at(self.pos, reason));
-                }
-                self.skip.blocks += 1;
-                self.skip.bytes += (self.len - self.pos) as u64;
-                self.pos = self.len;
-                self.saw_index = true;
-                Ok(())
-            }
+            s.skip.blocks += 1;
+            s.skip.bytes += (s.len - s.pos) as u64;
         }
+        s.pos = s.len;
+        self.saw_index = true;
+        Ok(())
     }
 
     /// Ensures the scratch holds undrained records, decoding the next
-    /// verified block if needed. `Ok(false)` means clean end of stream.
-    fn prepare(&mut self) -> Result<bool, BinaryTraceError> {
-        self.prepare_mode(false)
-    }
-
-    /// [`prepare`](ColumnarTraceReader::prepare), choosing the block
-    /// decode mode: `want_refs` selects the fused ref-only decode for
-    /// fresh blocks. A partially drained block keeps its current mode
-    /// (switching refs→ops re-decodes the retained payload).
-    fn prepare_mode(&mut self, want_refs: bool) -> Result<bool, BinaryTraceError> {
+    /// verified block if needed; `Ok(false)` means clean end of stream.
+    /// `want_refs` selects the fused ref-only decode for fresh blocks.
+    /// A partially drained block keeps its current mode (switching
+    /// refs→ops re-decodes the retained payload).
+    fn prepare<R: Read>(
+        &mut self,
+        s: &mut FramedStream<R>,
+        want_refs: bool,
+    ) -> Result<bool, BinaryTraceError> {
         loop {
             if !self.scratch.exhausted() {
                 if !want_refs && self.scratch.ref_mode {
@@ -1472,11 +1253,9 @@ impl<R: Read> ColumnarTraceReader<R> {
                     // decoded (refills only run once the scratch is
                     // exhausted), so its payload still sits in the
                     // stream buffer just behind the cursor.
-                    let start = self.pos - self.scratch.block_framed + COL_BLOCK_HEADER_LEN;
-                    let payload = &self.buf[start..self.pos];
-                    match self.scratch.reopen_as_ops(payload) {
-                        Ok(()) => {}
-                        Err(reason) => return Err(self.corrupt_at(start, reason)),
+                    let start = s.pos - self.scratch.block_framed + COL_BLOCK_HEADER_LEN;
+                    if let Err(reason) = self.scratch.reopen_as_ops(&s.buf[start..s.pos]) {
+                        return Err(s.corrupt_at(start, reason));
                     }
                 }
                 return Ok(true);
@@ -1484,289 +1263,129 @@ impl<R: Read> ColumnarTraceReader<R> {
             if self.saw_index {
                 return Ok(false);
             }
-            if self.len - self.pos < COL_BLOCK_HEADER_LEN && !self.hit_eof {
-                self.refill(0)?;
-            }
-            if self.pos == self.len {
-                // End of stream without an index: always damage.
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.truncated());
-                }
-                self.skip.blocks += 1;
-                self.saw_index = true;
-                return Ok(false);
-            }
-            let avail = self.len - self.pos;
-            if avail >= 4 && self.buf[self.pos..self.pos + 4] == COL_INDEX_MAGIC {
-                self.consume_index()?;
-                continue;
-            }
-            if avail < COL_BLOCK_HEADER_LEN {
-                // EOF inside a block header (or trailing garbage).
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.truncated());
-                }
-                self.skip.blocks += 1;
-                self.skip.bytes += avail as u64;
-                self.pos = self.len;
-                continue;
-            }
-            if self.buf[self.pos..self.pos + 4] != COL_BLOCK_MAGIC {
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.corrupt_at(self.pos, "bad block marker"));
-                }
-                self.resync()?;
-                continue;
-            }
-            let header = &self.buf[self.pos..self.pos + COL_BLOCK_HEADER_LEN];
-            let payload_len =
-                u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-            let records = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-            let refs = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-            let stored_sum = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-            if payload_len > MAX_BLOCK_LEN || records > MAX_BLOCK_RECORDS || refs > records {
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.corrupt_at(self.pos + 4, "implausible block header"));
-                }
-                self.resync()?;
-                continue;
-            }
-            let framed = COL_BLOCK_HEADER_LEN + payload_len;
-            if self.len - self.pos < framed {
-                self.refill(framed)?;
-                if self.len - self.pos < framed {
-                    // EOF inside the payload.
-                    if self.mode == DecodeMode::Strict {
-                        return Err(self.truncated());
-                    }
-                    self.skip.blocks += 1;
-                    self.skip.records += u64::from(records);
-                    self.skip.bytes += (self.len - self.pos) as u64;
-                    self.pos = self.len;
+            let h = match s.next_frame(&FRAMING)? {
+                Frame::Block(h) => h,
+                Frame::Trailer => {
+                    self.consume_index(s)?;
                     continue;
                 }
-            }
-            let payload = &self.buf[self.pos + COL_BLOCK_HEADER_LEN..self.pos + framed];
-            if col_block_checksum(payload, records, refs) != stored_sum {
-                if self.mode == DecodeMode::Strict {
-                    return Err(self.corrupt_at(self.pos + 16, "block checksum mismatch"));
+                Frame::End => {
+                    // End of stream without an index: always damage.
+                    if s.strict() {
+                        return Err(s.truncated());
+                    }
+                    s.skip.blocks += 1;
+                    self.saw_index = true;
+                    return Ok(false);
                 }
-                self.skip.blocks += 1;
-                self.skip.records += u64::from(records);
-                self.skip.bytes += framed as u64;
-                self.pos += framed;
+            };
+            let payload = &s.buf[s.pos + COL_BLOCK_HEADER_LEN..s.pos + h.framed];
+            let decoded = if want_refs {
+                self.scratch.decode_refs(payload, h.records, h.refs)
+            } else {
+                self.scratch.decode(payload, h.records, h.refs)
+            };
+            if let Err(reason) = decoded {
+                let at = s.pos;
+                s.reject(&h, at, reason)?;
                 continue;
             }
-            let decoded = if want_refs {
-                self.scratch.decode_refs(payload, records, refs)
-            } else {
-                self.scratch.decode(payload, records, refs)
-            };
-            match decoded {
-                Ok(()) => {
-                    // Column stats, from the verified section prefixes.
-                    let mut at = 0usize;
-                    let mut lens = [0u64; 5];
-                    for l in lens.iter_mut() {
-                        let len =
-                            u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"))
-                                as u64;
-                        *l = len;
-                        at += 4 + len as usize;
-                    }
-                    self.col_bytes.tags += lens[0];
-                    self.col_bytes.pc += lens[1];
-                    self.col_bytes.addr += lens[2];
-                    self.col_bytes.target += lens[3];
-                    self.col_bytes.regs += lens[4];
-                    self.payload_bytes += payload_len as u64;
-                    self.blocks += 1;
-                    self.scratch.block_framed = framed;
-                    self.pos += framed;
-                }
-                Err(reason) => {
-                    if self.mode == DecodeMode::Strict {
-                        return Err(self.corrupt_at(self.pos, reason));
-                    }
-                    self.skip.blocks += 1;
-                    self.skip.records += u64::from(records);
-                    self.skip.bytes += framed as u64;
-                    self.pos += framed;
-                }
+            // Column stats, from the verified section prefixes.
+            let mut at = 0usize;
+            for total in [
+                &mut self.col_bytes.tags,
+                &mut self.col_bytes.pc,
+                &mut self.col_bytes.addr,
+                &mut self.col_bytes.target,
+                &mut self.col_bytes.regs,
+            ] {
+                let len = le_u32(payload, at) as usize;
+                *total += len as u64;
+                at += 4 + len;
             }
+            self.payload_bytes += h.payload_len as u64;
+            self.scratch.block_framed = h.framed;
+            s.blocks += 1;
+            s.pos += h.framed;
         }
     }
 
-    /// Decodes the next record, or `Ok(None)` at a clean end of stream.
-    ///
-    /// # Errors
-    ///
-    /// [`BinaryTraceError::Truncated`] if the stream stops mid-block or
-    /// before the index, [`BinaryTraceError::Corrupt`] on invalid
-    /// blocks, or an I/O error. Lenient mode reports only header and
-    /// I/O errors; structural damage is skipped and tallied instead.
-    pub fn next_op(&mut self) -> Result<Option<TraceOp>, BinaryTraceError> {
-        if !self.prepare()? {
-            return Ok(None);
-        }
+    /// Takes the op at the scratch's drain cursor, counting it.
+    fn take_op<R>(&mut self, s: &mut FramedStream<R>) -> TraceOp {
         let op = self.scratch.take_op();
-        self.ops += 1;
+        s.ops += 1;
         if op.addr.is_some() {
             self.refs += 1;
         }
-        Ok(Some(op))
+        op
+    }
+}
+
+impl BlockDecoder for ColumnarBlocks {
+    const VERSIONS: RangeInclusive<u8> = COLUMNAR_VERSION..=COLUMNAR_VERSION;
+
+    fn next_op<R: Read>(
+        r: &mut ColumnarTraceReader<R>,
+    ) -> Result<Option<TraceOp>, BinaryTraceError> {
+        let (s, d) = (&mut r.stream, &mut r.decoder);
+        if !d.prepare(s, false)? {
+            return Ok(None);
+        }
+        Ok(Some(d.take_op(s)))
     }
 
-    /// Clears `out` and decodes up to `max` records into it, returning
-    /// the count (`0` = end of stream).
-    ///
-    /// # Errors
-    ///
-    /// As for [`next_op`](ColumnarTraceReader::next_op). Records
-    /// decoded before the error are left in `out`.
-    pub fn read_chunk(
-        &mut self,
+    fn read_chunk<R: Read>(
+        r: &mut ColumnarTraceReader<R>,
         out: &mut Vec<TraceOp>,
         max: usize,
     ) -> Result<usize, BinaryTraceError> {
+        let (s, d) = (&mut r.stream, &mut r.decoder);
         out.clear();
         out.reserve(max.min(1 << 20));
-        while out.len() < max {
-            if !self.prepare()? {
-                break;
-            }
-            while out.len() < max && !self.scratch.exhausted() {
-                let op = self.scratch.take_op();
-                self.ops += 1;
-                if op.addr.is_some() {
-                    self.refs += 1;
-                }
-                out.push(op);
+        while out.len() < max && d.prepare(s, false)? {
+            while out.len() < max && !d.scratch.exhausted() {
+                out.push(d.take_op(s));
             }
         }
         Ok(out.len())
     }
 
-    /// Clears `out` and decodes records into it as bare [`MemRef`]s
-    /// until `max` references are buffered or the stream ends. Returns
-    /// the reference count (`0` = end of stream).
-    ///
-    /// This is the corpus fast path: tags, pcs and addresses stream out
-    /// of their decoded columns directly — non-memory records never
+    /// The corpus fast path: tags, pcs and addresses stream out of
+    /// their decoded columns directly, and non-memory records never
     /// materialize a [`TraceOp`] at all.
-    ///
-    /// # Errors
-    ///
-    /// As for [`next_op`](ColumnarTraceReader::next_op). References
-    /// decoded before the error are left in `out`.
-    pub fn read_ref_chunk(
-        &mut self,
+    fn read_ref_chunk<R: Read>(
+        r: &mut ColumnarTraceReader<R>,
         out: &mut Vec<MemRef>,
         max: usize,
     ) -> Result<usize, BinaryTraceError> {
+        let (s, d) = (&mut r.stream, &mut r.decoder);
         out.clear();
         out.reserve(max.min(1 << 20));
-        while out.len() < max {
-            if !self.prepare_mode(true)? {
-                break;
-            }
-            let before = self.scratch.rec;
-            if self.scratch.ref_mode {
-                let n = self.scratch.refs_buf.len();
-                if out.is_empty() && self.scratch.ref_pos == 0 && n > 0 && n <= max {
+        while out.len() < max && d.prepare(s, true)? {
+            let before = d.scratch.rec;
+            if d.scratch.ref_mode {
+                let n = d.scratch.refs_buf.len();
+                if out.is_empty() && d.scratch.ref_pos == 0 && n > 0 && n <= max {
                     // Whole-block fast path: hand the first block's
                     // refs to the caller by swap — no copy — then keep
                     // looping so later blocks top the chunk up to
                     // `max` through the ordinary copying drain.
-                    std::mem::swap(out, &mut self.scratch.refs_buf);
-                    self.scratch.ref_pos = 0;
-                    self.scratch.rec = self.scratch.block_records;
-                    self.ops += (self.scratch.rec - before) as u64;
+                    std::mem::swap(out, &mut d.scratch.refs_buf);
+                    d.scratch.ref_pos = 0;
+                    d.scratch.rec = d.scratch.block_records;
+                    s.ops += (d.scratch.rec - before) as u64;
                     continue;
                 }
-                self.scratch.drain_refs_fast(out, max);
+                d.scratch.drain_refs_fast(out, max);
             } else {
                 // Leftover of a block opened in op mode: drain through
                 // the column walk so the cursors stay consistent.
-                self.scratch.drain_refs(out, max);
+                d.scratch.drain_refs(out, max);
             }
-            self.ops += (self.scratch.rec - before) as u64;
+            s.ops += (d.scratch.rec - before) as u64;
         }
-        self.refs += out.len() as u64;
+        d.refs += out.len() as u64;
         Ok(out.len())
-    }
-
-    /// Decodes the rest of the stream, invoking `f` on every memory
-    /// reference, and returns the number of records consumed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`next_op`](ColumnarTraceReader::next_op). References
-    /// already delivered to `f` before the error stand.
-    pub fn for_each_ref<F: FnMut(MemRef)>(&mut self, mut f: F) -> Result<u64, BinaryTraceError> {
-        let start = self.ops;
-        loop {
-            if !self.prepare_mode(true)? {
-                return Ok(self.ops - start);
-            }
-            let before = self.scratch.rec;
-            if self.scratch.ref_mode {
-                while self.scratch.ref_pos < self.scratch.refs_buf.len() {
-                    f(self.scratch.refs_buf[self.scratch.ref_pos]);
-                    self.scratch.ref_pos += 1;
-                    self.refs += 1;
-                }
-                self.scratch.rec = self.scratch.block_records;
-            } else {
-                while let Some(r) = self.scratch.take_ref() {
-                    self.refs += 1;
-                    f(r);
-                }
-            }
-            self.ops += (self.scratch.rec - before) as u64;
-        }
-    }
-}
-
-impl<R: Read> Iterator for ColumnarTraceReader<R> {
-    type Item = Result<TraceOp, BinaryTraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_op() {
-            Ok(Some(op)) => Some(Ok(op)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-impl<R: Read> ChunkSource for ColumnarTraceReader<R> {
-    type Error = BinaryTraceError;
-
-    fn read_chunk(
-        &mut self,
-        out: &mut Vec<TraceOp>,
-        max: usize,
-    ) -> Result<usize, BinaryTraceError> {
-        ColumnarTraceReader::read_chunk(self, out, max)
-    }
-}
-
-impl<R: Read> super::RefSource for ColumnarTraceReader<R> {
-    type Error = BinaryTraceError;
-
-    fn read_ref_chunk(
-        &mut self,
-        out: &mut Vec<MemRef>,
-        max: usize,
-    ) -> Result<usize, BinaryTraceError> {
-        ColumnarTraceReader::read_ref_chunk(self, out, max)
     }
 }
 
@@ -1930,33 +1549,29 @@ impl<R: Read + Seek> ColumnarFile<R> {
         self.inner.seek(SeekFrom::Start(e.offset))?;
         let mut header = [0u8; COL_BLOCK_HEADER_LEN];
         self.inner.read_exact(&mut header)?;
-        if header[..4] != COL_BLOCK_MAGIC {
-            return Err(corrupt("bad block marker"));
-        }
-        let payload_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let records = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let refs = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        let stored = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-        if payload_len > MAX_BLOCK_LEN
-            || records != e.records
-            || refs != e.refs
-            || stored != e.checksum
+        let h = FRAMING
+            .header(&header)
+            .ok_or_else(|| corrupt("bad block marker"))?;
+        if h.payload_len > MAX_BLOCK_LEN
+            || h.records != e.records
+            || h.refs != e.refs
+            || h.checksum != e.checksum
         {
             return Err(corrupt("block header disagrees with the index"));
         }
-        self.payload.resize(payload_len, 0);
+        self.payload.resize(h.payload_len, 0);
         self.inner.read_exact(&mut self.payload)?;
-        if col_block_checksum(&self.payload, records, refs) != stored {
+        if (FRAMING.checksum)(&h, &self.payload) != h.checksum {
             return Err(corrupt("block checksum mismatch"));
         }
         self.scratch
-            .decode(&self.payload, records, refs)
+            .decode(&self.payload, h.records, h.refs)
             .map_err(|reason| BinaryTraceError::Corrupt {
                 op: 0,
                 offset: e.offset,
                 reason,
             })?;
-        let mut ops = Vec::with_capacity(records as usize);
+        let mut ops = Vec::with_capacity(h.records as usize);
         while !self.scratch.exhausted() {
             ops.push(self.scratch.take_op());
         }
@@ -2073,13 +1688,6 @@ mod tests {
         assert_eq!(all, expect);
         assert_eq!(r.refs_decoded(), expect.len() as u64);
         assert_eq!(r.ops_decoded(), ops.len() as u64);
-
-        // for_each_ref agrees.
-        let mut r = ColumnarTraceReader::new(&bytes[..]).unwrap();
-        let mut seen = Vec::new();
-        let consumed = r.for_each_ref(|m| seen.push(m)).unwrap();
-        assert_eq!(consumed, ops.len() as u64);
-        assert_eq!(seen, expect);
     }
 
     #[test]

@@ -1,24 +1,36 @@
-//! Trace serialization: text interchange and compact binary streaming.
+//! Trace serialization: text interchange, compact binary streaming and
+//! columnar block storage.
 //!
 //! The paper's evaluation ran captured SPEC95 traces through its
 //! simulators; this workspace substitutes synthetic models, but the hook
-//! for *real* traces should exist for downstream users. Two on-disk
+//! for *real* traces should exist for downstream users. Three on-disk
 //! formats are provided:
 //!
 //! * [`text`] — a line-oriented format (one dynamic instruction per
 //!   line, `#` comments). Human-readable and trivial to emit from any
 //!   tracing tool, but parsing it tops out far below the simulator's
 //!   replay speed.
-//! * [`binary`] — a compact streaming format: magic/version header,
-//!   one op-kind tag byte per record, and varint **delta-encoded**
-//!   addresses, so multi-gigabyte externally captured traces decode at
-//!   batched-replay speed (see [`BinaryTraceReader::read_chunk`]).
-//!   Version 2 frames records into checksummed blocks, enabling a
-//!   lenient decode mode ([`DecodeMode::Lenient`]) that skips damaged
-//!   blocks and tallies them in a [`SkipReport`] instead of failing.
+//! * [`binary`] (versions 1 and 2) — a compact streaming format:
+//!   magic/version header, one op-kind tag byte per record, and varint
+//!   **delta-encoded** addresses, so multi-gigabyte externally captured
+//!   traces decode at batched-replay speed (see
+//!   [`FramedReader::read_chunk`]). Version 2 frames records into
+//!   checksummed blocks.
+//! * [`columnar`] (version 3) — the corpus store: each block's records
+//!   split into bit-packed columns, and a trailing block index for
+//!   random access.
 //!
-//! `cac trace convert` translates between the two; [`sniff_format`]
-//! auto-detects which one a file holds.
+//! Versions 2 and 3 are read by one framed-block layer,
+//! [`FramedReader`]: the refill buffer, the header check, the block
+//! walk, and the lenient decode mode ([`DecodeMode::Lenient`]) that
+//! skips damaged blocks and tallies them in a [`SkipReport`] instead of
+//! failing. Each format adds only its block header, checksum and
+//! payload decode.
+//!
+//! [`open_trace`] is the one place that opens a trace of any format:
+//! it detects the format from the leading bytes ([`sniff_format`]) and
+//! returns the matching reader as an [`AnyTraceReader`].
+//! `cac trace convert` translates between the formats.
 //!
 //! Replay consumers should not care where ops come from — an in-memory
 //! vector, a text file, a binary stream. The [`ChunkSource`] trait is
@@ -54,25 +66,28 @@
 pub mod binary;
 pub mod columnar;
 pub mod commitfs;
+mod framed;
 pub mod text;
 
 pub use binary::{
-    block_checksum, write_trace_binary, BinaryTraceError, BinaryTraceReader, BinaryTraceWriter,
-    DecodeMode, FailureClass, SkipReport, BINARY_MAGIC, BINARY_VERSION, BLOCK_HEADER_LEN,
-    BLOCK_MAGIC, BLOCK_TARGET, HEADER_LEN, MAX_BLOCK_LEN,
+    block_checksum, write_trace_binary, BinaryBlocks, BinaryTraceError, BinaryTraceReader,
+    BinaryTraceWriter, FailureClass, BINARY_MAGIC, BINARY_VERSION, BLOCK_HEADER_LEN, BLOCK_MAGIC,
+    BLOCK_TARGET, HEADER_LEN, MAX_BLOCK_LEN,
 };
 pub use columnar::{
-    col_block_checksum, write_trace_columnar, ColIndexEntry, ColumnBytes, ColumnarFile,
-    ColumnarTraceReader, ColumnarTraceWriter, COLUMNAR_VERSION, COL_BLOCK_HEADER_LEN,
+    col_block_checksum, write_trace_columnar, ColIndexEntry, ColumnBytes, ColumnarBlocks,
+    ColumnarFile, ColumnarTraceReader, ColumnarTraceWriter, COLUMNAR_VERSION, COL_BLOCK_HEADER_LEN,
     COL_BLOCK_MAGIC, COL_BLOCK_RECORDS, COL_FOOTER_LEN, COL_FOOTER_MAGIC, COL_INDEX_ENTRY_LEN,
     COL_INDEX_MAGIC,
 };
 pub use commitfs::{CommitFs, DiskFs, FaultFs, FaultPlan};
+pub use framed::{BlockDecoder, DecodeMode, FramedReader, SkipReport};
 pub use text::{read_trace, write_trace, ParseTraceError, ReadTrace};
 
 use crate::record::{MemRef, TraceOp};
 use std::convert::Infallible;
-use std::io::Read;
+use std::fmt;
+use std::io::{Read, Seek, SeekFrom};
 
 /// A stream of [`TraceOp`]s delivered in caller-buffered batches.
 ///
@@ -81,9 +96,9 @@ use std::io::Read;
 /// allocation, no per-op `Result`), and consumers like
 /// `cac_sim::replay::run_cache` drain it through `Cache::run_trace`.
 ///
-/// Implementations are provided for the binary reader
-/// ([`BinaryTraceReader`]), the text reader ([`ReadTrace`]) and
-/// in-memory slices ([`SliceSource`]).
+/// Implementations are provided for the framed readers
+/// ([`FramedReader`]), the text reader ([`ReadTrace`]), any trace file
+/// ([`AnyTraceReader`]) and in-memory slices ([`SliceSource`]).
 pub trait ChunkSource {
     /// Error type produced by the underlying decoder.
     type Error;
@@ -169,9 +184,9 @@ impl<R: Read> ChunkSource for ReadTrace<R> {
 /// text parsing or synthetic-trace generation is paid once per sweep
 /// instead of once per configuration.
 ///
-/// Implementations are provided for the binary reader
-/// ([`BinaryTraceReader::read_ref_chunk`] is the fused fast path), for
-/// any [`ChunkSource`] via [`OpRefSource`], and for arbitrary reference
+/// Implementations are provided for the framed readers
+/// ([`FramedReader::read_ref_chunk`] is the fused fast path), for any
+/// [`ChunkSource`] via [`OpRefSource`], and for arbitrary reference
 /// iterators (synthetic workloads) via [`IterRefSource`].
 pub trait RefSource {
     /// Error type produced by the underlying decoder.
@@ -237,7 +252,8 @@ impl<I: Iterator<Item = MemRef>> RefSource for IterRefSource<I> {
 
 /// [`RefSource`] adapter over any [`ChunkSource`]: decodes op chunks
 /// through an internal buffer and keeps only the memory references
-/// (text traces, slices — the binary reader has its own fused path).
+/// (text traces, slices — the framed readers have their own fused
+/// path).
 #[derive(Debug)]
 pub struct OpRefSource<S> {
     source: S,
@@ -272,6 +288,15 @@ impl<S: ChunkSource> RefSource for OpRefSource<S> {
     }
 }
 
+/// Op chunks pass straight through to the wrapped source.
+impl<S: ChunkSource> ChunkSource for OpRefSource<S> {
+    type Error = S::Error;
+
+    fn read_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> Result<usize, S::Error> {
+        self.source.read_chunk(out, max)
+    }
+}
+
 /// On-disk trace format, as detected by [`sniff_format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -300,6 +325,136 @@ pub fn sniff_format(prefix: &[u8]) -> TraceFormat {
     }
 }
 
+/// A trace opened by [`open_trace`]: the reader its leading bytes call
+/// for.
+#[derive(Debug)]
+pub enum AnyTraceReader<R: Read> {
+    /// Binary, versions 1 and 2.
+    Binary(BinaryTraceReader<R>),
+    /// Columnar, version 3 (boxed: its block scratch makes it much
+    /// larger than its siblings).
+    Columnar(Box<ColumnarTraceReader<R>>),
+    /// Text, with memory references projected by [`OpRefSource`].
+    Text(OpRefSource<ReadTrace<R>>),
+}
+
+/// Opens a trace of any format, detected from its first bytes by
+/// [`sniff_format`] and read from the start of `inner`. `mode` applies
+/// to the framed formats; text has no blocks to skip.
+///
+/// # Errors
+///
+/// I/O errors reading or rewinding `inner`, and the framed readers'
+/// header errors ([`BinaryTraceError::BadMagic`],
+/// [`BinaryTraceError::UnsupportedVersion`],
+/// [`BinaryTraceError::Truncated`]).
+pub fn open_trace<R: Read + Seek>(
+    mut inner: R,
+    mode: DecodeMode,
+) -> Result<AnyTraceReader<R>, BinaryTraceError> {
+    // The version byte too: the columnar format shares the `CACT` magic.
+    let mut prefix = Vec::new();
+    (&mut inner)
+        .take(BINARY_MAGIC.len() as u64 + 1)
+        .read_to_end(&mut prefix)?;
+    inner.seek(SeekFrom::Start(0))?;
+    Ok(match sniff_format(&prefix) {
+        TraceFormat::Binary => AnyTraceReader::Binary(BinaryTraceReader::with_mode(inner, mode)?),
+        TraceFormat::Columnar => {
+            AnyTraceReader::Columnar(Box::new(ColumnarTraceReader::with_mode(inner, mode)?))
+        }
+        TraceFormat::Text => AnyTraceReader::Text(OpRefSource::new(read_trace(inner))),
+    })
+}
+
+impl<R: Read> AnyTraceReader<R> {
+    /// The format [`open_trace`] detected.
+    pub fn format(&self) -> TraceFormat {
+        match self {
+            AnyTraceReader::Binary(_) => TraceFormat::Binary,
+            AnyTraceReader::Columnar(_) => TraceFormat::Columnar,
+            AnyTraceReader::Text(_) => TraceFormat::Text,
+        }
+    }
+
+    /// What a lenient framed decode skipped so far (empty for text).
+    pub fn skipped(&self) -> SkipReport {
+        match self {
+            AnyTraceReader::Binary(r) => r.skipped(),
+            AnyTraceReader::Columnar(r) => r.skipped(),
+            AnyTraceReader::Text(_) => SkipReport::default(),
+        }
+    }
+}
+
+impl<R: Read> ChunkSource for AnyTraceReader<R> {
+    type Error = TraceReadError;
+
+    fn read_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> Result<usize, TraceReadError> {
+        Ok(match self {
+            AnyTraceReader::Binary(r) => r.read_chunk(out, max)?,
+            AnyTraceReader::Columnar(r) => r.read_chunk(out, max)?,
+            AnyTraceReader::Text(r) => r.read_chunk(out, max)?,
+        })
+    }
+}
+
+impl<R: Read> RefSource for AnyTraceReader<R> {
+    type Error = TraceReadError;
+
+    fn read_ref_chunk(
+        &mut self,
+        out: &mut Vec<MemRef>,
+        max: usize,
+    ) -> Result<usize, TraceReadError> {
+        Ok(match self {
+            AnyTraceReader::Binary(r) => r.read_ref_chunk(out, max)?,
+            AnyTraceReader::Columnar(r) => r.read_ref_chunk(out, max)?,
+            AnyTraceReader::Text(r) => r.read_ref_chunk(out, max)?,
+        })
+    }
+}
+
+/// Error from an [`AnyTraceReader`]: the framed readers' decode error
+/// or the text parser's, displayed as the error itself.
+#[derive(Debug)]
+pub enum TraceReadError {
+    /// From the binary or columnar reader.
+    Framed(BinaryTraceError),
+    /// From the text parser.
+    Text(ParseTraceError),
+}
+
+impl fmt::Display for TraceReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceReadError::Framed(e) => e.fmt(f),
+            TraceReadError::Text(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for TraceReadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TraceReadError::Framed(e) => Some(e),
+            TraceReadError::Text(e) => Some(e),
+        }
+    }
+}
+
+impl From<BinaryTraceError> for TraceReadError {
+    fn from(e: BinaryTraceError) -> Self {
+        TraceReadError::Framed(e)
+    }
+}
+
+impl From<ParseTraceError> for TraceReadError {
+    fn from(e: ParseTraceError) -> Self {
+        TraceReadError::Text(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +474,34 @@ mod tests {
         assert_eq!(sniff_format(b"CA"), TraceFormat::Text);
         // A bare magic (no version byte) still reads as the row format.
         assert_eq!(sniff_format(b"CACT"), TraceFormat::Binary);
+    }
+
+    #[test]
+    fn open_trace_reads_every_format_alike() {
+        let ops: Vec<TraceOp> = SpecBenchmark::Swim.generator(3).take(5000).collect();
+        let expect: Vec<MemRef> = ops.iter().filter_map(TraceOp::mem_ref).collect();
+        let mut text = Vec::new();
+        write_trace(&mut text, ops.iter().copied()).unwrap();
+        for (bytes, format) in [
+            (text, TraceFormat::Text),
+            (
+                write_trace_binary(Vec::new(), ops.iter().copied()).unwrap(),
+                TraceFormat::Binary,
+            ),
+            (
+                write_trace_columnar(Vec::new(), ops.iter().copied()).unwrap(),
+                TraceFormat::Columnar,
+            ),
+        ] {
+            let mut r = open_trace(std::io::Cursor::new(bytes), DecodeMode::Lenient).unwrap();
+            assert_eq!(r.format(), format);
+            let (mut buf, mut all) = (Vec::new(), Vec::new());
+            while r.read_ref_chunk(&mut buf, 777).unwrap() > 0 {
+                all.extend_from_slice(&buf);
+            }
+            assert_eq!(all, expect, "{format:?}");
+            assert!(!r.skipped().any());
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ use cac_core::Error;
 use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::MemRef;
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
@@ -372,20 +371,18 @@ impl Sweep {
         // A lone worker replays each chunk against every model before
         // it releases the next.
         let board = Board::new(models, if workers == 1 { 1 } else { window });
-        let (board, source_panic) = if workers == 1 {
-            let board = RefCell::new(board);
-            let source_panic = work(&board, Some(produce));
-            (board.into_inner(), source_panic)
-        } else {
-            let shared = (Mutex::new((board, 0)), Condvar::new());
-            let source_panic = thread::scope(|s| {
-                for _ in 1..workers {
-                    s.spawn(|| work(&shared, None::<fn() -> Option<C>>));
-                }
-                work(&shared, Some(produce))
-            });
-            (shared.0.into_inner().expect("sweep board").0, source_panic)
+        let hub = Hub {
+            board: Mutex::new((board, 0)),
+            changed: Condvar::new(),
+            workers,
         };
+        let source_panic = thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(|| work(&hub, None::<fn() -> Option<C>>));
+            }
+            work(&hub, Some(produce))
+        });
+        let (board, _) = hub.board.into_inner().expect("sweep board");
         if let Some(payload) = source_panic {
             panic::resume_unwind(payload);
         }
@@ -489,39 +486,36 @@ impl<'m, C: Clone> Board<'m, C> {
     }
 }
 
-/// How workers reach the board: a `RefCell` for a lone worker, a lock
-/// (with a count of the workers waiting on it) for several.
-trait Hub<B> {
+/// The board of one sweep behind a lock, shared by all its workers.
+struct Hub<B> {
+    /// The board, and how many workers wait for it to change.
+    board: Mutex<(B, usize)>,
+    changed: Condvar,
+    workers: usize,
+}
+
+impl<B> Hub<B> {
     /// Runs `step` on the board until it yields a job, waiting for
     /// another worker to change the board in between. `changes`: the
     /// first step publishes a chunk or puts a seat back.
-    fn visit<R>(&self, changes: bool, step: impl FnMut(&mut B) -> Option<R>) -> R;
-}
-
-impl<B> Hub<B> for RefCell<B> {
-    fn visit<R>(&self, _: bool, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
-        // A full window always holds a chunk some queued model has yet
-        // to replay, so a lone worker never waits.
-        step(&mut self.borrow_mut()).expect("a lone worker never waits")
-    }
-}
-
-impl<B> Hub<B> for (Mutex<(B, usize)>, Condvar) {
     fn visit<R>(&self, mut changes: bool, mut step: impl FnMut(&mut B) -> Option<R>) -> R {
-        let mut guard = self.0.lock().expect("sweep board");
+        let mut guard = self.board.lock().expect("sweep board");
         loop {
             let (board, waiting) = &mut *guard;
             let job = step(board);
             // Wake waiters on any change, job or not: a quarantine can
             // free window room, or end the sweep, for another worker.
             if std::mem::take(&mut changes) && *waiting > 0 {
-                self.1.notify_all();
+                self.changed.notify_all();
             }
             if let Some(job) = job {
                 return job;
             }
+            // A full window always holds a chunk some queued model has
+            // yet to replay, so a lone worker never waits.
+            assert!(self.workers > 1, "a lone worker never waits");
             *waiting += 1;
-            guard = self.1.wait(guard).expect("sweep board");
+            guard = self.changed.wait(guard).expect("sweep board");
             guard.1 -= 1;
         }
     }
@@ -533,7 +527,7 @@ impl<B> Hub<B> for (Mutex<(B, usize)>, Condvar) {
 /// [`TURN_CHUNKS`] of them under `catch_unwind`, and puts it back at
 /// the end of the queue. Returns a panic of `produce`.
 fn work<'m, C>(
-    hub: &impl Hub<Board<'m, C>>,
+    hub: &Hub<Board<'m, C>>,
     mut produce: Option<impl FnMut() -> Option<C>>,
 ) -> Option<Panic>
 where

@@ -59,8 +59,9 @@ impl ExpArgs {
     ///
     /// # Errors
     ///
-    /// [`DriverError::Usage`] on unknown flags, repeated or surplus
-    /// values, or a non-boolean flag without a value.
+    /// [`DriverError::Usage`] on unknown flags, a repeated flag that is
+    /// not variadic, surplus values, or a non-boolean flag without a
+    /// value.
     pub fn parse(specs: &'static [ParamSpec], words: &[String]) -> Result<Self, DriverError> {
         let mut args = ExpArgs::default();
         for spec in specs {
@@ -108,11 +109,18 @@ impl ExpArgs {
                     None if boolean => "true".to_owned(),
                     None => return Err(DriverError::Usage(format!("flag --{flag} needs a value"))),
                 };
-                if explicit.contains(&spec.name) {
+                if !explicit.contains(&spec.name) {
+                    explicit.push(spec.name);
+                    args.values.insert(spec.name, value);
+                } else if spec.variadic {
+                    // A repeated variadic flag appends: `--configs a.toml
+                    // --configs b.toml`.
+                    let joined = args.values.get_mut(spec.name).expect("declared");
+                    joined.push('\n');
+                    joined.push_str(&value);
+                } else {
                     return Err(DriverError::Usage(format!("--{name} given twice")));
                 }
-                explicit.push(spec.name);
-                args.values.insert(spec.name, value);
             } else if let Some(name) = open_variadic {
                 // A positionally-bound variadic parameter swallows every
                 // later positional, so `cac analytic validate a.toml
@@ -304,6 +312,19 @@ mod tests {
         let a = ExpArgs::parse(V, &words(&["--configs", "a.toml", "t.bin"])).unwrap();
         assert_eq!(a.list("configs"), vec!["a.toml"]);
         assert_eq!(a.str("trace"), "t.bin");
+        // A repeated variadic flag appends; a repeated plain flag is
+        // still an error.
+        let a = ExpArgs::parse(
+            V,
+            &words(&["--configs", "a.toml", "--configs=b.toml", "t.bin"]),
+        )
+        .unwrap();
+        assert_eq!(a.list("configs"), vec!["a.toml", "b.toml"]);
+        assert_eq!(a.str("trace"), "t.bin");
+        assert!(matches!(
+            ExpArgs::parse(V, &words(&["--trace", "a", "--trace", "b"])),
+            Err(DriverError::Usage(_))
+        ));
     }
 
     #[test]

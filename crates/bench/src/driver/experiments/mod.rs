@@ -155,7 +155,7 @@ pub const REGISTRY: &[Experiment] = &[
             vparam(
                 "configs",
                 "",
-                "config files (one per argument; shell globs expand)",
+                "config files: bare paths (shell globs expand) or --configs once per file",
             ),
             param("trace", "", "trace file (overrides the synthetic workload)"),
             param("bench", "tomcatv", "synthetic workload model"),
@@ -406,7 +406,7 @@ pub const REGISTRY: &[Experiment] = &[
             vparam(
                 "configs",
                 "",
-                "config files (one per argument; shell globs expand)",
+                "config files: bare paths (shell globs expand) or --configs once per file",
             ),
             param(
                 "prune",
@@ -473,7 +473,7 @@ pub const REGISTRY: &[Experiment] = &[
             vparam(
                 "configs",
                 "",
-                "config files (one per argument; shell globs expand)",
+                "config files: bare paths (shell globs expand) or --configs once per file",
             ),
             param(
                 "fault",
@@ -584,7 +584,7 @@ pub const REGISTRY: &[Experiment] = &[
         params: &[vparam(
             "files",
             "",
-            "config files (one per argument; shell globs expand)",
+            "config files: bare paths (shell globs expand) or --files once per file",
         )],
         run: configs::validate,
     },

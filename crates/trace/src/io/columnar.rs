@@ -514,15 +514,16 @@ impl<'a> DeltaCursor<'a> {
     #[inline]
     fn next(&mut self) -> u64 {
         if self.buf_pos == self.buf_len {
-            self.refill();
+            self.load_miniblock();
         }
         let v = self.buf[self.buf_pos];
         self.buf_pos += 1;
         v
     }
 
-    /// Returns the rest of the current miniblock (refilling first if it
-    /// is drained), advancing the cursor past every returned value.
+    /// Returns the rest of the current miniblock (unpacking the next
+    /// one first if it is drained), advancing the cursor past every
+    /// returned value.
     /// Empty once `count` values have been yielded.
     #[inline]
     fn next_group(&mut self) -> &[u64] {
@@ -530,7 +531,7 @@ impl<'a> DeltaCursor<'a> {
             if self.remaining == 0 {
                 return &[];
             }
-            self.refill();
+            self.load_miniblock();
         }
         let start = self.buf_pos;
         self.buf_pos = self.buf_len;
@@ -548,7 +549,8 @@ impl<'a> DeltaCursor<'a> {
         self.buf_pos = 0;
     }
 
-    fn refill(&mut self) {
+    /// Unpacks the next miniblock into the value buffer.
+    fn load_miniblock(&mut self) {
         debug_assert!(self.remaining > 0, "caller pulls exactly `count` values");
         let take = self.remaining.min(MINIBLOCK);
         let width = match self.bytes.get(self.pos) {
@@ -1103,7 +1105,8 @@ pub struct ColumnBytes {
 ///
 /// Decodes one whole block of columns at a time (a verified block's
 /// payload is validated end to end before a single record is
-/// delivered), then drains it. Errors, [`DecodeMode`](super::DecodeMode)s and the
+/// delivered), then drains it. Errors, the
+/// [`DecodeMode`](super::DecodeMode) policy and the
 /// [`SkipReport`](super::SkipReport) tally are the v2 reader's, so
 /// every replay consumer treats v2 and v3 uniformly.
 ///

@@ -70,13 +70,13 @@ mod framed;
 pub mod text;
 
 pub use binary::{
-    block_checksum, write_trace_binary, BinaryBlocks, BinaryTraceError, BinaryTraceReader,
-    BinaryTraceWriter, FailureClass, BINARY_MAGIC, BINARY_VERSION, BLOCK_HEADER_LEN, BLOCK_MAGIC,
-    BLOCK_TARGET, HEADER_LEN, MAX_BLOCK_LEN,
+    block_checksum, write_trace_binary, BinaryTraceError, BinaryTraceReader, BinaryTraceWriter,
+    FailureClass, BINARY_MAGIC, BINARY_VERSION, BLOCK_HEADER_LEN, BLOCK_MAGIC, BLOCK_TARGET,
+    HEADER_LEN, MAX_BLOCK_LEN,
 };
 pub use columnar::{
-    col_block_checksum, write_trace_columnar, ColIndexEntry, ColumnBytes, ColumnarBlocks,
-    ColumnarFile, ColumnarTraceReader, ColumnarTraceWriter, COLUMNAR_VERSION, COL_BLOCK_HEADER_LEN,
+    col_block_checksum, write_trace_columnar, ColIndexEntry, ColumnBytes, ColumnarFile,
+    ColumnarTraceReader, ColumnarTraceWriter, COLUMNAR_VERSION, COL_BLOCK_HEADER_LEN,
     COL_BLOCK_MAGIC, COL_BLOCK_RECORDS, COL_FOOTER_LEN, COL_FOOTER_MAGIC, COL_INDEX_ENTRY_LEN,
     COL_INDEX_MAGIC,
 };

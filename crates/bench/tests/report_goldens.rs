@@ -227,3 +227,78 @@ fn damaged_trace_reports_match_their_goldens() {
         }
     }
 }
+
+/// The replacement and write-policy ablations: the only reports that
+/// run FIFO and random replacement and write-back fills.
+#[test]
+fn policy_ablation_reports_match_their_goldens() {
+    assert_matches_golden(
+        "ablation-replacement",
+        &["--ops", "20000"],
+        "report_ablation_replacement.json",
+    );
+    assert_matches_golden(
+        "ablation-write-policy",
+        &["--ops", "20000"],
+        "report_ablation_write_policy.json",
+    );
+}
+
+/// `cac sweep` in its two shapes: the parallel unscreened sweep and the
+/// sequential sweep behind the analytic screen.
+#[test]
+fn sweep_reports_match_their_goldens() {
+    let args = ["--max-stride", "64", "--passes", "4"];
+    assert_matches_golden("sweep", &args, "report_sweep.json");
+    let pruned = [&args[..], &["--prune", "analytic"]].concat();
+    assert_matches_golden("sweep", &pruned, "report_sweep_pruned.json");
+}
+
+/// A checkpointed sweep resumes from a partial journal recorded by an
+/// earlier build (30 whole strides and one cell of a 31st), with and
+/// without the screen: the journal fingerprints and cell keys stay
+/// readable, and the resumed report equals the uninterrupted one.
+#[test]
+fn sweep_resumes_a_recorded_journal() {
+    let dir = golden_path("../../target/report-goldens");
+    std::fs::create_dir_all(&dir).expect("journal scratch directory");
+    for (journal, extra, golden) in [
+        ("sweep_partial.journal", &[][..], "report_sweep.json"),
+        (
+            "sweep_pruned_partial.journal",
+            &["--prune", "analytic"][..],
+            "report_sweep_pruned.json",
+        ),
+    ] {
+        let path = dir.join(format!("resume_{journal}"));
+        std::fs::copy(golden_path(journal), &path).expect("copy the recorded journal");
+        let path = path.to_str().expect("utf-8 path");
+        let args = [
+            &["--max-stride", "64", "--passes", "4", "--checkpoint", path][..],
+            extra,
+        ]
+        .concat();
+        assert_matches_golden("sweep", &args, golden);
+    }
+}
+
+/// `cac replay` over a text trace (`notes`, the replay timing, dropped).
+#[test]
+fn text_trace_replay_report_matches_its_golden() {
+    enter_repo_root();
+    let dir = "target/report-goldens";
+    std::fs::create_dir_all(dir).expect("golden input directory");
+    let path = format!("{dir}/swim_text.trace");
+    render_json(
+        "trace-gen",
+        &[
+            "--bench", "swim", "--ops", "20000", "--out", &path, "--format", "text",
+        ],
+    );
+    let args = ["--trace", path.as_str(), "--scheme", "ipoly-skew"];
+    let json = render_json("replay", &args);
+    let notes = json.find(",\"notes\":[").expect("replay report has notes");
+    assert!(json.ends_with("]}"), "replay: notes are not the last field");
+    let got = format!("{}}}", &json[..notes]);
+    assert_json_matches(&got, "replay", &args, "report_replay_text.json");
+}

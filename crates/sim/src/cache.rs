@@ -72,10 +72,16 @@ const META_DIRTY: u64 = 1;
 /// Shift isolating the stamp in the packed metadata word.
 const META_STAMP_SHIFT: u32 = 1;
 
-/// Replacement-policy codes for kernel monomorphization.
-const POLICY_LRU: u8 = 0;
-const POLICY_FIFO: u8 = 1;
-const POLICY_RANDOM: u8 = 2;
+/// `WAYS` of [`Cache::probe_fill`] for a way count it is not unrolled
+/// for: every way is scanned, and the fill recomputes each way's set.
+pub(crate) const ANY_WAYS: usize = 0;
+
+/// `WAYS` of [`Cache::probe_fill`] for the one-set geometry's O(1)
+/// [`AssocIndex`] engine.
+pub(crate) const ASSOC_WAYS: usize = usize::MAX;
+
+/// The largest way count [`Cache::probe_fill`] is unrolled for.
+const UNROLLED_WAYS: usize = 4;
 
 /// References per internal chunk of the iterator-driven replay APIs:
 /// big enough to amortize the kernel dispatch, small enough to stay in
@@ -308,12 +314,6 @@ impl Cache {
         self.selector.reset();
     }
 
-    /// Flat storage slot of `(way, set)`.
-    #[inline]
-    fn slot(&self, way: u32, set: u32) -> usize {
-        way as usize * self.sets + set as usize
-    }
-
     /// Non-mutating lookup: the way holding `addr`'s block, if resident.
     pub fn probe(&self, addr: u64) -> Option<u32> {
         let block = self.geom.block_addr(addr);
@@ -328,18 +328,20 @@ impl Cache {
     /// Non-mutating lookup by block address, yielding both the way and
     /// the set so callers never recompute the index. O(1) for
     /// fully-associative geometries, one tag compare per way otherwise.
-    #[inline]
     pub fn probe_slot(&self, block: u64) -> Option<(u32, u32)> {
-        if let Some(a) = &self.assoc {
-            return a.get(block).map(|way| (way, 0));
+        self.find(block)
+            .map(|(way, slot)| (way, (slot - way as usize * self.sets) as u32))
+    }
+
+    /// The way and flat storage slot (`way * sets + set`) holding
+    /// `block`, if resident.
+    fn find(&self, block: u64) -> Option<(u32, usize)> {
+        let mut sets = [0; UNROLLED_WAYS];
+        if self.assoc.is_some() {
+            self.probe_ways::<ASSOC_WAYS>(block, &mut sets)
+        } else {
+            self.probe_ways::<ANY_WAYS>(block, &mut sets)
         }
-        for w in 0..self.ways as u32 {
-            let set = self.table.set_index(block, w);
-            if self.tags[self.slot(w, set)] == block {
-                return Some((w, set));
-            }
-        }
-        None
     }
 
     /// `true` if the block containing `addr` is resident.
@@ -360,131 +362,83 @@ impl Cache {
     /// Performs an access; `is_write` selects the write path of the
     /// configured [`WritePolicy`].
     ///
-    /// Dispatches to a probe body monomorphized for the common way
-    /// counts (direct-mapped probes are a single load/compare); the
-    /// fully-associative engine and other shapes take the generic path.
+    /// Runs [`Cache::probe_fill`] for the cache's shape and folds its
+    /// counts into [`Cache::stats`] at once.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Access {
-        match self.kernel_ways() {
-            1 => self.access_ways::<1>(addr, is_write),
-            2 => self.access_ways::<2>(addr, is_write),
-            4 => self.access_ways::<4>(addr, is_write),
-            _ => self.access_generic(addr, is_write),
-        }
+        let mut k = KernelCounts::default();
+        let out = match self.kernel_ways() {
+            1 => self.probe_fill::<1>(addr, is_write, &mut k),
+            2 => self.probe_fill::<2>(addr, is_write, &mut k),
+            4 => self.probe_fill::<4>(addr, is_write, &mut k),
+            ASSOC_WAYS => self.probe_fill::<ASSOC_WAYS>(addr, is_write, &mut k),
+            _ => self.probe_fill::<ANY_WAYS>(addr, is_write, &mut k),
+        };
+        self.fold(k);
+        out
     }
 
-    /// The way count [`Cache::access_ways`] may be monomorphized for:
-    /// 1, 2 or 4, or 0 when only the generic path fits (other way
-    /// counts and the fully-associative engine). Chunk kernels of
-    /// organizations built around a cache dispatch on it once per chunk.
+    /// The `WAYS` argument of [`Cache::probe_fill`] for this cache: the
+    /// way count when it is 1, 2 or 4, [`ASSOC_WAYS`] for the one-set
+    /// engine, else [`ANY_WAYS`]. Chunk kernels dispatch on it once per
+    /// chunk.
     pub(crate) fn kernel_ways(&self) -> usize {
         match self.ways {
-            1 | 2 | 4 if self.assoc.is_none() => self.ways,
-            _ => 0,
+            _ if self.assoc.is_some() => ASSOC_WAYS,
+            1 | 2 | 4 => self.ways,
+            _ => ANY_WAYS,
         }
     }
 
-    /// [`Cache::access`] with the way count baked in: the probe is
-    /// unrolled and the fill path reuses the per-way sets the probe
-    /// already derived. `WAYS` must equal [`Cache::kernel_ways`].
-    /// Always inlined: the hierarchy chunk kernel calls it once per
-    /// reference, and as a call it cost that kernel a third of its
-    /// speed.
+    /// The one probe-and-fill body every replay path runs. A hit is
+    /// stamped (LRU) and dirtied (write-back); an allocating miss fills
+    /// the block through [`Cache::fill`]. Hits and misses are added to
+    /// `k`, which the caller folds into [`Cache::stats`] with
+    /// [`Cache::fold`]; evictions and write-backs are counted in place.
+    ///
+    /// `WAYS` must equal [`Cache::kernel_ways`]. For 1, 2 and 4 the probe
+    /// is unrolled and keeps each way's set for the fill. Always inlined:
+    /// the chunk kernels call it once per reference, and as a call it
+    /// cost the hierarchy kernel a third of its speed.
     #[inline(always)]
-    pub(crate) fn access_ways<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> Access {
-        debug_assert_eq!(self.ways, WAYS);
+    pub(crate) fn probe_fill<const WAYS: usize>(
+        &mut self,
+        addr: u64,
+        is_write: bool,
+        k: &mut KernelCounts,
+    ) -> Access {
+        debug_assert_eq!(WAYS, self.kernel_ways());
         let block = self.geom.block_addr(addr);
         self.clock += 1;
-        let mut sets = [0u32; WAYS];
+        let write_back = self.write_policy == WritePolicy::WriteBackAllocate;
+        let mut sets = [0u32; UNROLLED_WAYS];
         let hit = self.probe_ways::<WAYS>(block, &mut sets);
-        if hit != WAYS {
-            let slot = hit * self.sets + sets[hit] as usize;
+        k.count(is_write, hit.is_some());
+        if let Some((way, slot)) = hit {
             if self.selector.policy() == ReplacementPolicy::Lru {
-                self.meta[slot] = (self.clock << META_STAMP_SHIFT) | (self.meta[slot] & META_DIRTY);
-            }
-            if is_write && self.write_policy == WritePolicy::WriteBackAllocate {
-                self.meta[slot] |= META_DIRTY;
-            }
-            if is_write {
-                self.stats.record_write(true);
-            } else {
-                self.stats.record_read(true);
-            }
-            return Access {
-                hit: true,
-                served_by: ServicePoint::Level(0),
-                way: Some(hit as u32),
-                evicted: None,
-                filled: false,
-            };
-        }
-        // Miss.
-        if is_write {
-            self.stats.record_write(false);
-        } else {
-            self.stats.record_read(false);
-        }
-        let allocate = !is_write || self.write_policy == WritePolicy::WriteBackAllocate;
-        if !allocate {
-            return Access::miss();
-        }
-        let dirty = is_write && self.write_policy == WritePolicy::WriteBackAllocate;
-        let (way, evicted) = self.fill_from_sets::<WAYS>(block, dirty, &sets);
-        Access {
-            hit: false,
-            served_by: ServicePoint::Memory,
-            way: Some(way),
-            evicted,
-            filled: true,
-        }
-    }
-
-    /// The generic access body: dynamic way count, and the path every
-    /// one-set (fully-associative-engine) cache takes.
-    fn access_generic(&mut self, addr: u64, is_write: bool) -> Access {
-        let block = self.geom.block_addr(addr);
-        self.clock += 1;
-        if let Some((w, set)) = self.probe_slot(block) {
-            let slot = self.slot(w, set);
-            if self.selector.policy() == ReplacementPolicy::Lru {
-                // Under the O(1) engine the intrusive list IS the
-                // recency order; nothing reads the packed stamp, so
-                // refreshing it would be a dead store.
-                match &mut self.assoc {
-                    Some(a) => a.touch(w),
-                    None => {
-                        self.meta[slot] =
-                            (self.clock << META_STAMP_SHIFT) | (self.meta[slot] & META_DIRTY);
-                    }
+                if WAYS == ASSOC_WAYS {
+                    // The engine's list is the recency order; nothing
+                    // reads the packed stamp under it.
+                    self.assoc.as_mut().expect("assoc engine").touch(way);
+                } else {
+                    self.meta[slot] =
+                        (self.clock << META_STAMP_SHIFT) | (self.meta[slot] & META_DIRTY);
                 }
             }
-            if is_write && self.write_policy == WritePolicy::WriteBackAllocate {
+            if is_write && write_back {
                 self.meta[slot] |= META_DIRTY;
-            }
-            if is_write {
-                self.stats.record_write(true);
-            } else {
-                self.stats.record_read(true);
             }
             return Access {
                 hit: true,
                 served_by: ServicePoint::Level(0),
-                way: Some(w),
+                way: Some(way),
                 evicted: None,
                 filled: false,
             };
         }
-        // Miss.
-        if is_write {
-            self.stats.record_write(false);
-        } else {
-            self.stats.record_read(false);
+        if is_write && !write_back {
+            return Access::miss(); // no-write-allocate
         }
-        let allocate = !is_write || self.write_policy == WritePolicy::WriteBackAllocate;
-        if !allocate {
-            return Access::miss();
-        }
-        let dirty = is_write && self.write_policy == WritePolicy::WriteBackAllocate;
-        let (way, evicted) = self.fill_line(block, dirty);
+        let (way, evicted) = self.fill::<WAYS>(block, is_write, &sets);
         Access {
             hit: false,
             served_by: ServicePoint::Memory,
@@ -492,6 +446,139 @@ impl Cache {
             evicted,
             filled: true,
         }
+    }
+
+    /// The probe of [`Cache::probe_fill`]: the hitting way and its slot.
+    /// With `WAYS` of 1, 2 or 4 it records each probed way's set in
+    /// `sets` for the fill.
+    #[inline(always)]
+    fn probe_ways<const WAYS: usize>(
+        &self,
+        block: u64,
+        sets: &mut [u32; UNROLLED_WAYS],
+    ) -> Option<(u32, usize)> {
+        if WAYS == ASSOC_WAYS {
+            let a = self.assoc.as_ref().expect("assoc engine");
+            return a.get(block).map(|way| (way, way as usize));
+        }
+        let ways = if WAYS == ANY_WAYS { self.ways } else { WAYS };
+        for w in 0..ways {
+            let set = self.table.set_index(block, w as u32);
+            if WAYS != ANY_WAYS {
+                sets[w] = set;
+            }
+            let slot = w * self.sets + set as usize;
+            if self.tags[slot] == block {
+                return Some((w as u32, slot));
+            }
+        }
+        None
+    }
+
+    /// The one fill path: takes the first invalid way, else the
+    /// policy's victim (the minimum stamp, or a random way), counts the
+    /// eviction and its write-back, and installs `block`. Returns the
+    /// way filled and the evicted block.
+    ///
+    /// Under the one-set engine, slot numbers equal way numbers and
+    /// freed slots are reused lowest-first, so every random victim
+    /// matches the scan's. Stamps are unique (one line is stamped per
+    /// tick), so the first minimum in way order is the minimum.
+    ///
+    /// Kept out of line: inlined, it made the direct-mapped and 2-way
+    /// kernels about a quarter slower.
+    #[inline(never)]
+    fn fill<const WAYS: usize>(
+        &mut self,
+        block: u64,
+        dirty: bool,
+        sets: &[u32; UNROLLED_WAYS],
+    ) -> (u32, Option<u64>) {
+        let random = self.selector.policy() == ReplacementPolicy::Random;
+        let mut victim = None;
+        let (way, slot) = if WAYS == ASSOC_WAYS {
+            let a = self.assoc.as_mut().expect("assoc engine");
+            if a.is_full() {
+                let w = if random {
+                    self.selector.pick_random(self.ways) as u32
+                } else {
+                    a.victim_slot()
+                };
+                a.remove_slot(w);
+                victim = Some(w as usize);
+            }
+            let way = a.insert(block);
+            (way as usize, way as usize)
+        } else {
+            let ways = if WAYS == ANY_WAYS { self.ways } else { WAYS };
+            let mut invalid = None;
+            let mut oldest = (u64::MAX, 0, 0);
+            for w in 0..ways {
+                let set = if WAYS == ANY_WAYS {
+                    self.table.set_index(block, w as u32)
+                } else {
+                    sets[w]
+                };
+                let slot = w * self.sets + set as usize;
+                if self.tags[slot] == INVALID_TAG {
+                    invalid = Some((w, slot));
+                    break;
+                }
+                let stamp = self.meta[slot] >> META_STAMP_SHIFT;
+                if stamp < oldest.0 {
+                    oldest = (stamp, w, slot);
+                }
+            }
+            match invalid {
+                Some(free) => free,
+                None => {
+                    let (w, slot) = if random {
+                        let w = self.selector.pick_random(ways);
+                        let set = if WAYS == ANY_WAYS {
+                            self.table.set_index(block, w as u32)
+                        } else {
+                            sets[w]
+                        };
+                        (w, w * self.sets + set as usize)
+                    } else {
+                        (oldest.1, oldest.2)
+                    };
+                    victim = Some(slot);
+                    (w, slot)
+                }
+            }
+        };
+        let mut evicted = None;
+        if let Some(s) = victim {
+            debug_assert_ne!(self.tags[s], INVALID_TAG, "victim slot valid");
+            self.stats.evictions += 1;
+            if self.meta[s] & META_DIRTY != 0 {
+                self.stats.writebacks += 1;
+            }
+            evicted = Some(self.tags[s]);
+        }
+        self.tags[slot] = block;
+        self.meta[slot] = (self.clock << META_STAMP_SHIFT) | u64::from(dirty);
+        (way as u32, evicted)
+    }
+
+    /// Adds counts [`Cache::probe_fill`] gathered into [`Cache::stats`].
+    #[inline]
+    pub(crate) fn fold(&mut self, k: KernelCounts) {
+        let accesses = k.reads + k.writes;
+        let misses = k.read_misses + k.write_misses;
+        self.stats.accesses += accesses;
+        self.stats.reads += k.reads;
+        self.stats.writes += k.writes;
+        self.stats.read_misses += k.read_misses;
+        self.stats.write_misses += k.write_misses;
+        self.stats.misses += misses;
+        self.stats.hits += accesses - misses;
+    }
+
+    /// Accesses since the cache was built or last flushed.
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock
     }
 
     /// Replays a full instruction trace, performing the memory references
@@ -502,7 +589,7 @@ impl Cache {
     /// `for op { access(..) }` loop would produce.
     ///
     /// For traces too large to hold in memory, stream them instead with
-    /// [`crate::replay::run_cache`].
+    /// [`crate::replay::run_cache_source`].
     ///
     /// # Example
     ///
@@ -528,7 +615,7 @@ impl Cache {
     /// Replays a bare memory-reference trace; see [`Cache::run_trace`].
     ///
     /// Internally the iterator is drained through a reused chunk buffer
-    /// so each chunk replays on the specialized kernel path of
+    /// so each chunk replays on the kernel path of
     /// [`Cache::run_refs_slice`].
     ///
     /// # Example
@@ -568,289 +655,41 @@ impl Cache {
     /// [`Cache::access`] loop would produce.
     ///
     /// This is the kernel entry point: the slice is dispatched **once**
-    /// to a probe kernel monomorphized for the cache's shape — ways ∈
-    /// {1, 2, 4} × replacement policy, plus the O(1) fully-associative
-    /// engine — with the generic loop as the fallback for other shapes.
+    /// on the cache's shape to [`Cache::probe_fill`], and the counts are
+    /// folded once at its end.
     pub fn run_refs_slice(&mut self, refs: &[MemRef]) -> CacheStats {
         let before = self.stats;
         self.replay_slice(refs);
         self.stats - before
     }
 
-    /// Dispatches one slice to the matching monomorphized kernel.
+    /// Dispatches one slice to the kernel for the cache's shape.
     fn replay_slice(&mut self, refs: &[MemRef]) {
-        let policy = self.selector.policy();
-        if self.assoc.is_some() {
-            return match policy {
-                ReplacementPolicy::Lru => self.run_kernel_assoc::<POLICY_LRU>(refs),
-                ReplacementPolicy::Fifo => self.run_kernel_assoc::<POLICY_FIFO>(refs),
-                ReplacementPolicy::Random => self.run_kernel_assoc::<POLICY_RANDOM>(refs),
-            };
-        }
-        match (self.ways, policy) {
-            (1, ReplacementPolicy::Lru) => self.run_kernel::<1, POLICY_LRU>(refs),
-            (1, ReplacementPolicy::Fifo) => self.run_kernel::<1, POLICY_FIFO>(refs),
-            (1, ReplacementPolicy::Random) => self.run_kernel::<1, POLICY_RANDOM>(refs),
-            (2, ReplacementPolicy::Lru) => self.run_kernel::<2, POLICY_LRU>(refs),
-            (2, ReplacementPolicy::Fifo) => self.run_kernel::<2, POLICY_FIFO>(refs),
-            (2, ReplacementPolicy::Random) => self.run_kernel::<2, POLICY_RANDOM>(refs),
-            (4, ReplacementPolicy::Lru) => self.run_kernel::<4, POLICY_LRU>(refs),
-            (4, ReplacementPolicy::Fifo) => self.run_kernel::<4, POLICY_FIFO>(refs),
-            (4, ReplacementPolicy::Random) => self.run_kernel::<4, POLICY_RANDOM>(refs),
-            _ => {
-                for r in refs {
-                    self.access(r.addr, r.is_write);
-                }
-            }
+        match self.kernel_ways() {
+            1 => self.run_kernel::<1>(refs),
+            2 => self.run_kernel::<2>(refs),
+            4 => self.run_kernel::<4>(refs),
+            ASSOC_WAYS => self.run_kernel::<ASSOC_WAYS>(refs),
+            _ => self.run_kernel::<ANY_WAYS>(refs),
         }
     }
 
-    /// The set-associative probe kernel: the per-reference body of
-    /// [`Cache::access`] with the way count and replacement policy
-    /// baked in at compile time and hit/miss counters accumulated in
-    /// registers.
-    fn run_kernel<const WAYS: usize, const POLICY: u8>(&mut self, refs: &[MemRef]) {
-        debug_assert_eq!(self.ways, WAYS);
-        let wb = self.write_policy == WritePolicy::WriteBackAllocate;
+    /// The chunk kernel: [`Cache::probe_fill`] per reference, its counts
+    /// kept in registers and folded once. One function per shape, so
+    /// that each kernel's registers are allocated on their own.
+    #[inline(never)]
+    fn run_kernel<const WAYS: usize>(&mut self, refs: &[MemRef]) {
         let mut k = KernelCounts::default();
-        'refs: for &r in refs {
-            let block = self.geom.block_addr(r.addr);
-            self.clock += 1;
-            // Probe, remembering each way's set for the fill path.
-            let mut sets = [0u32; WAYS];
-            let hit = self.probe_ways::<WAYS>(block, &mut sets);
-            if hit != WAYS {
-                let slot = hit * self.sets + sets[hit] as usize;
-                if POLICY == POLICY_LRU {
-                    self.meta[slot] =
-                        (self.clock << META_STAMP_SHIFT) | (self.meta[slot] & META_DIRTY);
-                }
-                if r.is_write {
-                    if wb {
-                        self.meta[slot] |= META_DIRTY;
-                    }
-                    k.writes += 1;
-                } else {
-                    k.reads += 1;
-                }
-                continue 'refs;
-            }
-            // Miss.
-            if r.is_write {
-                k.writes += 1;
-                k.write_misses += 1;
-                if !wb {
-                    continue 'refs; // no-write-allocate
-                }
-            } else {
-                k.reads += 1;
-                k.read_misses += 1;
-            }
-            self.fill_from_sets::<WAYS>(block, r.is_write && wb, &sets);
+        for r in refs {
+            self.probe_fill::<WAYS>(r.addr, r.is_write, &mut k);
         }
-        k.fold_into(&mut self.stats);
-    }
-
-    /// The probe body of the monomorphized paths: records each way's
-    /// set index in `sets` and returns the hitting way, or `WAYS` on a
-    /// miss (entries of `sets` past the hit are untouched). Always
-    /// inlined: left to the compiler, the 2- and 4-way probes stayed
-    /// out-of-line calls inside the kernels.
-    #[inline(always)]
-    fn probe_ways<const WAYS: usize>(&self, block: u64, sets: &mut [u32; WAYS]) -> usize {
-        debug_assert_eq!(self.ways, WAYS);
-        for (w, way_set) in sets.iter_mut().enumerate() {
-            let set = self.table.set_index(block, w as u32);
-            *way_set = set;
-            if self.tags[w * self.sets + set as usize] == block {
-                return w;
-            }
-        }
-        WAYS
-    }
-
-    /// The fill path of [`Cache::access_ways`] and the probe kernels,
-    /// reusing the per-way sets the probe already derived: first
-    /// invalid slot, else the minimum-stamp (or random) victim folded
-    /// out of one scan. Returns the way filled and any evicted block.
-    #[inline]
-    fn fill_from_sets<const WAYS: usize>(
-        &mut self,
-        block: u64,
-        dirty: bool,
-        sets: &[u32; WAYS],
-    ) -> (u32, Option<u64>) {
-        let mut invalid = WAYS;
-        let mut best = (u64::MAX, 0usize);
-        for (w, &set) in sets.iter().enumerate() {
-            let slot = w * self.sets + set as usize;
-            if self.tags[slot] == INVALID_TAG {
-                invalid = w;
-                break;
-            }
-            let stamp = self.meta[slot] >> META_STAMP_SHIFT;
-            if stamp < best.0 {
-                best = (stamp, w);
-            }
-        }
-        let (way, evicted) = if invalid != WAYS {
-            (invalid, None)
-        } else {
-            let w = if self.selector.policy() == ReplacementPolicy::Random {
-                self.selector.pick_random(WAYS)
-            } else {
-                best.1
-            };
-            let slot = w * self.sets + sets[w] as usize;
-            let victim = self.tags[slot];
-            debug_assert_ne!(victim, INVALID_TAG, "victim slot valid");
-            self.stats.evictions += 1;
-            if self.meta[slot] & META_DIRTY != 0 {
-                self.stats.writebacks += 1;
-            }
-            (w, Some(victim))
-        };
-        let slot = way * self.sets + sets[way] as usize;
-        self.tags[slot] = block;
-        self.meta[slot] = (self.clock << META_STAMP_SHIFT) | u64::from(dirty);
-        (way as u32, evicted)
-    }
-
-    /// The fully-associative kernel: O(1) probes through the
-    /// [`AssocIndex`] engine, policy baked in at compile time.
-    fn run_kernel_assoc<const POLICY: u8>(&mut self, refs: &[MemRef]) {
-        let wb = self.write_policy == WritePolicy::WriteBackAllocate;
-        let mut k = KernelCounts::default();
-        for &r in refs {
-            let block = self.geom.block_addr(r.addr);
-            self.clock += 1;
-            let hit = self.assoc.as_ref().expect("assoc engine").get(block);
-            if let Some(w) = hit {
-                let slot = w as usize;
-                if POLICY == POLICY_LRU {
-                    // The intrusive list is the recency order; the
-                    // packed stamp is never read under the engine.
-                    self.assoc.as_mut().expect("assoc engine").touch(w);
-                }
-                if r.is_write {
-                    if wb {
-                        self.meta[slot] |= META_DIRTY;
-                    }
-                    k.writes += 1;
-                } else {
-                    k.reads += 1;
-                }
-                continue;
-            }
-            if r.is_write {
-                k.writes += 1;
-                k.write_misses += 1;
-                if !wb {
-                    continue;
-                }
-            } else {
-                k.reads += 1;
-                k.read_misses += 1;
-            }
-            self.fill_line_assoc(block, r.is_write && wb);
-        }
-        k.fold_into(&mut self.stats);
-    }
-
-    /// Brings `block` into the cache (as by a miss fill), returning the
-    /// way used and any evicted block address. Does not touch access
-    /// statistics (eviction/writeback counters are updated).
-    pub fn fill_block(&mut self, block: u64) -> (u32, Option<u64>) {
-        self.clock += 1;
-        if let Some((w, _)) = self.probe_slot(block) {
-            return (w, None);
-        }
-        self.fill_line(block, false)
-    }
-
-    fn fill_line(&mut self, block: u64, dirty: bool) -> (u32, Option<u64>) {
-        if self.assoc.is_some() {
-            return self.fill_line_assoc(block, dirty);
-        }
-        // One pass over the candidate ways: take the first invalid slot,
-        // otherwise fold the minimum-stamp victim — *with its set* — out
-        // of the same scan, so nothing is re-derived after the choice.
-        // Stamps are unique (one line is stamped per tick), so "first
-        // minimum in way order" is the unique minimum.
-        let mut invalid: Option<(u32, u32)> = None;
-        let mut best = (u64::MAX, 0u32, 0u32);
-        for w in 0..self.ways as u32 {
-            let set = self.table.set_index(block, w);
-            let slot = self.slot(w, set);
-            if self.tags[slot] == INVALID_TAG {
-                invalid = Some((w, set));
-                break;
-            }
-            let stamp = self.meta[slot] >> META_STAMP_SHIFT;
-            if stamp < best.0 {
-                best = (stamp, w, set);
-            }
-        }
-        let ((way, set), evicted) = match invalid {
-            Some(ws) => (ws, None),
-            None => {
-                let (w, set) = if self.selector.policy() == ReplacementPolicy::Random {
-                    let w = self.selector.pick_random(self.ways) as u32;
-                    (w, self.table.set_index(block, w))
-                } else {
-                    (best.1, best.2)
-                };
-                let slot = self.slot(w, set);
-                let victim = self.tags[slot];
-                debug_assert_ne!(victim, INVALID_TAG, "victim slot valid");
-                self.stats.evictions += 1;
-                if self.meta[slot] & META_DIRTY != 0 {
-                    self.stats.writebacks += 1;
-                }
-                ((w, set), Some(victim))
-            }
-        };
-        let slot = self.slot(way, set);
-        self.tags[slot] = block;
-        self.meta[slot] = (self.clock << META_STAMP_SHIFT) | u64::from(dirty);
-        (way, evicted)
-    }
-
-    /// [`Cache::fill_line`] through the O(1) engine. Slot numbers equal
-    /// way numbers (one set), and freed slots are reused lowest-first,
-    /// so the slot layout — and therefore every random-replacement
-    /// victim — matches the generic scan exactly.
-    fn fill_line_assoc(&mut self, block: u64, dirty: bool) -> (u32, Option<u64>) {
-        let full = self.assoc.as_ref().expect("assoc engine").is_full();
-        let evicted = if full {
-            let w = match self.selector.policy() {
-                ReplacementPolicy::Random => self.selector.pick_random(self.ways) as u32,
-                _ => self.assoc.as_ref().expect("assoc engine").victim_slot(),
-            };
-            let slot = w as usize;
-            let victim = self.tags[slot];
-            debug_assert_ne!(victim, INVALID_TAG, "victim slot valid");
-            self.stats.evictions += 1;
-            if self.meta[slot] & META_DIRTY != 0 {
-                self.stats.writebacks += 1;
-            }
-            self.assoc.as_mut().expect("assoc engine").remove_slot(w);
-            Some(victim)
-        } else {
-            None
-        };
-        let way = self.assoc.as_mut().expect("assoc engine").insert(block);
-        let slot = way as usize;
-        self.tags[slot] = block;
-        self.meta[slot] = (self.clock << META_STAMP_SHIFT) | u64::from(dirty);
-        (way, evicted)
+        self.fold(k);
     }
 
     /// Invalidates the line holding `block`, if resident. Returns `true`
     /// if a line was removed. Dirty lines are counted as writebacks.
     pub fn invalidate_block(&mut self, block: u64) -> bool {
-        if let Some((w, set)) = self.probe_slot(block) {
-            let slot = self.slot(w, set);
+        if let Some((w, slot)) = self.find(block) {
             self.tags[slot] = INVALID_TAG;
             if let Some(a) = &mut self.assoc {
                 a.remove_slot(w);
@@ -877,10 +716,10 @@ impl Cache {
     }
 }
 
-/// Per-chunk counters the probe kernels accumulate in registers and
-/// fold into [`CacheStats`] once per slice.
+/// Hit and miss counts [`Cache::probe_fill`] adds up, kept by its
+/// caller (in registers across a chunk) and folded by [`Cache::fold`].
 #[derive(Debug, Default, Clone, Copy)]
-struct KernelCounts {
+pub(crate) struct KernelCounts {
     reads: u64,
     writes: u64,
     read_misses: u64,
@@ -888,17 +727,15 @@ struct KernelCounts {
 }
 
 impl KernelCounts {
-    #[inline]
-    fn fold_into(self, stats: &mut CacheStats) {
-        let accesses = self.reads + self.writes;
-        let misses = self.read_misses + self.write_misses;
-        stats.accesses += accesses;
-        stats.reads += self.reads;
-        stats.writes += self.writes;
-        stats.read_misses += self.read_misses;
-        stats.write_misses += self.write_misses;
-        stats.misses += misses;
-        stats.hits += accesses - misses;
+    #[inline(always)]
+    fn count(&mut self, is_write: bool, hit: bool) {
+        if is_write {
+            self.writes += 1;
+            self.write_misses += u64::from(!hit);
+        } else {
+            self.reads += 1;
+            self.read_misses += u64::from(!hit);
+        }
     }
 }
 
@@ -1025,17 +862,6 @@ mod tests {
         assert!(!c.contains(0x2000));
         assert!(!c.invalidate_block(paper_geom().block_addr(0x2000)));
         assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn fill_block_is_idempotent_for_resident_blocks() {
-        let mut c = Cache::build(paper_geom(), IndexSpec::modulo()).unwrap();
-        let (w1, e1) = c.fill_block(42);
-        assert!(e1.is_none());
-        let (w2, e2) = c.fill_block(42);
-        assert_eq!(w1, w2);
-        assert!(e2.is_none());
-        assert_eq!(c.resident_lines(), 1);
     }
 
     #[test]

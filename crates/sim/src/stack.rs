@@ -98,7 +98,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::cache::{Cache, CacheBuilder, WritePolicy};
+use crate::cache::{Cache, CacheBuilder, KernelCounts, WritePolicy, ANY_WAYS, ASSOC_WAYS};
 use crate::model::{extra, AccessOutcome, ComponentStats, MemoryModel, ModelStats, ServicePoint};
 use crate::mshr::MshrFile;
 use crate::replacement::ReplacementPolicy;
@@ -687,22 +687,15 @@ impl Hierarchy {
     /// (upper-level evictions stay resident below).
     #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        self.step::<0>(addr, is_write)
+        let res = self.levels[0].cache.access(addr, is_write);
+        self.step(addr, is_write, res)
     }
 
-    /// One reference, the body [`Hierarchy::access`] and the chunk
-    /// kernel share: level 0 is probed with its way count `WAYS` baked
-    /// in ([`Cache::access_ways`]; 0 takes the dispatching
-    /// [`Cache::access`]), and only a reference that does not read-hit
-    /// there walks the rest of the stack.
+    /// The rest of one reference after level 0 returned `res`, shared by
+    /// [`Hierarchy::access`] and the chunk kernel: only a reference that
+    /// did not read-hit walks the rest of the stack.
     #[inline(always)]
-    fn step<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        let l0 = &mut self.levels[0].cache;
-        let res = if WAYS == 0 {
-            l0.access(addr, is_write)
-        } else {
-            l0.access_ways::<WAYS>(addr, is_write)
-        };
+    fn step(&mut self, addr: u64, is_write: bool, res: AccessOutcome) -> AccessOutcome {
         if res.hit && !is_write {
             // The common case: a read hit at L1 moves nothing.
             return AccessOutcome::hit_at(ServicePoint::Level(0));
@@ -714,28 +707,35 @@ impl Hierarchy {
         }
     }
 
-    /// The chunk kernel: replays `refs` through [`Hierarchy::step`]
-    /// monomorphized for level 0's shape, dispatched once per chunk.
-    /// With `LOADS_ONLY` stores skip the stack (the [`LoadsOnly`]
-    /// organizations); returns how many did.
+    /// The chunk kernel: probes level 0 with [`Cache::probe_fill`] for
+    /// its shape, dispatched once per chunk, keeps level 0's counts in
+    /// registers across the chunk, and finishes each reference with
+    /// [`Hierarchy::step`]. With `LOADS_ONLY` stores skip the stack (the
+    /// [`LoadsOnly`] organizations); returns how many did.
     fn replay<const LOADS_ONLY: bool>(&mut self, refs: &[MemRef]) -> u64 {
         match self.levels[0].cache.kernel_ways() {
             1 => self.replay_ways::<1, LOADS_ONLY>(refs),
             2 => self.replay_ways::<2, LOADS_ONLY>(refs),
             4 => self.replay_ways::<4, LOADS_ONLY>(refs),
-            _ => self.replay_ways::<0, LOADS_ONLY>(refs),
+            ASSOC_WAYS => self.replay_ways::<ASSOC_WAYS, LOADS_ONLY>(refs),
+            _ => self.replay_ways::<ANY_WAYS, LOADS_ONLY>(refs),
         }
     }
 
     fn replay_ways<const WAYS: usize, const LOADS_ONLY: bool>(&mut self, refs: &[MemRef]) -> u64 {
+        let mut k = KernelCounts::default();
         let mut bypassed = 0;
         for r in refs {
             if LOADS_ONLY && r.is_write {
                 bypassed += 1;
             } else {
-                self.step::<WAYS>(r.addr, r.is_write);
+                let res = self.levels[0]
+                    .cache
+                    .probe_fill::<WAYS>(r.addr, r.is_write, &mut k);
+                self.step(r.addr, r.is_write, res);
             }
         }
+        self.levels[0].cache.fold(k);
         bypassed
     }
 
@@ -748,9 +748,9 @@ impl Hierarchy {
         is_write: bool,
         mut res: AccessOutcome,
     ) -> AccessOutcome {
-        // Level 0 sees every access once, so its access count is the
-        // stack's clock (stream LRU stamps, MSHR time).
-        let clock = self.levels[0].cache.stats().accesses;
+        // Level 0 sees every access once, so its clock is the stack's
+        // (stream LRU stamps, MSHR time).
+        let clock = self.levels[0].cache.clock();
         // The address every level below 0 sees.
         let physical = if VIRTUAL {
             self.translate_level0(addr, &res)

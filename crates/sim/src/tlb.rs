@@ -8,7 +8,8 @@
 //! untolerated latency via an additional pipeline stage". Evaluating that
 //! trade-off needs a TLB model: this module provides a parametric
 //! set-associative TLB with LRU replacement, backed by any
-//! [`PageMapper`].
+//! [`PageMapper`]. Its entries are the lines of a [`Cache`] whose lines
+//! are pages.
 //!
 //! [`PageMapper`]: crate::vm::PageMapper
 //!
@@ -28,26 +29,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::assoc::AssocIndex;
+use crate::cache::Cache;
 use crate::vm::PageMapper;
-use cac_core::Error;
-
-/// One TLB entry: a cached virtual→physical page translation.
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    vpn: u64,
-    frame: u64,
-    last_used: u64,
-}
-
-/// O(1) state for the fully-associative (one-set) configuration: the
-/// [`AssocIndex`] maps VPNs to slots and orders them LRU; `frames`
-/// holds the slot-indexed payload.
-#[derive(Debug)]
-struct AssocTlb {
-    index: AssocIndex,
-    frames: Vec<u64>,
-}
+use cac_core::{CacheGeometry, Error, IndexSpec};
 
 /// Statistics kept by a [`Tlb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,19 +57,15 @@ impl TlbStats {
 
 /// A set-associative TLB with true-LRU replacement.
 ///
-/// The fully-associative configuration (`ways == entries`, §3.1's
-/// worst case for lookup cost) runs on the O(1)
-/// [`AssocIndex`] engine instead of scanning the
-/// single set, with identical hit/miss/eviction behaviour.
+/// The entries are a [`Cache`] with one page-sized line per entry,
+/// modulo placement and LRU, so the fully-associative configuration
+/// (`ways == entries`, §3.1's worst case for lookup cost) runs on the
+/// cache's O(1) one-set engine.
 #[derive(Debug)]
 pub struct Tlb {
-    sets: Vec<Vec<TlbEntry>>,
-    /// O(1) probe/LRU engine, present exactly when there is one set.
-    assoc: Option<AssocTlb>,
-    ways: u32,
-    page_bits: u32,
+    entries: Cache,
     miss_penalty: u32,
-    clock: u64,
+    /// Kept here, not in the cache, so that [`Tlb::flush`] keeps them.
     stats: TlbStats,
 }
 
@@ -98,7 +78,8 @@ impl Tlb {
     ///
     /// Returns [`Error::NotPowerOfTwo`] unless `entries`, `ways` and
     /// `page_size` are powers of two, and [`Error::OutOfRange`] if
-    /// `ways > entries`.
+    /// `ways > entries`, if pages are smaller than 2 bytes (the
+    /// smallest cache line) or if the TLB would map 2^64 bytes or more.
     pub fn new(entries: u32, ways: u32, page_size: u64, miss_penalty: u32) -> Result<Self, Error> {
         if entries == 0 || !entries.is_power_of_two() {
             return Err(Error::NotPowerOfTwo {
@@ -125,24 +106,24 @@ impl Tlb {
                 constraint: "<= entries",
             });
         }
-        let num_sets = (entries / ways) as usize;
+        let reach = u64::from(entries)
+            .checked_mul(page_size)
+            .ok_or(Error::OutOfRange {
+                what: "page size",
+                value: page_size,
+                constraint: "entries x page size < 2^64 bytes",
+            })?;
+        let geom = CacheGeometry::new(reach, page_size, ways)?;
         Ok(Tlb {
-            sets: vec![Vec::with_capacity(ways as usize); num_sets],
-            assoc: (num_sets == 1).then(|| AssocTlb {
-                index: AssocIndex::new(ways as usize),
-                frames: vec![0; ways as usize],
-            }),
-            ways,
-            page_bits: page_size.trailing_zeros(),
+            entries: Cache::build(geom, IndexSpec::modulo())?,
             miss_penalty,
-            clock: 0,
             stats: TlbStats::default(),
         })
     }
 
     /// Page size in bytes.
     pub fn page_size(&self) -> u64 {
-        1 << self.page_bits
+        self.entries.geometry().block()
     }
 
     /// Page-walk penalty charged per miss, in cycles.
@@ -153,55 +134,13 @@ impl Tlb {
     /// Translates `va`, consulting `mapper` (the page table) on a miss.
     /// Returns the physical address and whether the TLB hit.
     pub fn translate(&mut self, va: u64, mapper: &mut PageMapper) -> (u64, bool) {
-        self.clock += 1;
+        let out = self.entries.read(va);
         self.stats.accesses += 1;
-        let vpn = va >> self.page_bits;
-        let offset = va & (self.page_size() - 1);
-        if let Some(fa) = &mut self.assoc {
-            // Fully-associative fast path: O(1) probe and LRU update.
-            if let Some(slot) = fa.index.get(vpn) {
-                fa.index.touch(slot);
-                return ((fa.frames[slot as usize] << self.page_bits) | offset, true);
-            }
-            self.stats.misses += 1;
-            let pa = mapper.translate(va);
-            if fa.index.is_full() {
-                fa.index.remove_slot(fa.index.victim_slot());
-                self.stats.evictions += 1;
-            }
-            let slot = fa.index.insert(vpn);
-            fa.frames[slot as usize] = pa >> self.page_bits;
-            return (pa, false);
-        }
-        let set_idx = (vpn % self.sets.len() as u64) as usize;
-        let clock = self.clock;
-
-        let set = &mut self.sets[set_idx];
-        if let Some(entry) = set.iter_mut().find(|e| e.vpn == vpn) {
-            entry.last_used = clock;
-            return ((entry.frame << self.page_bits) | offset, true);
-        }
-
-        // Miss: walk the page table via the mapper.
-        self.stats.misses += 1;
-        let pa = mapper.translate(va);
-        let frame = pa >> self.page_bits;
-        if set.len() == self.ways as usize {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("set is full, hence non-empty");
-            set.swap_remove(victim);
-            self.stats.evictions += 1;
-        }
-        set.push(TlbEntry {
-            vpn,
-            frame,
-            last_used: clock,
-        });
-        (pa, false)
+        self.stats.misses += u64::from(!out.hit);
+        self.stats.evictions += u64::from(out.evicted.is_some());
+        // A mapper never remaps a page it has mapped, so on a hit this is
+        // the frame the miss cached.
+        (mapper.translate(va), out.hit)
     }
 
     /// The latency contribution of a translation: 0 on a hit,
@@ -216,12 +155,7 @@ impl Tlb {
 
     /// Invalidates every entry (e.g. on a context switch).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        if let Some(fa) = &mut self.assoc {
-            fa.index.clear();
-        }
+        self.entries.flush();
     }
 
     /// Statistics accumulated so far.

@@ -226,8 +226,8 @@ fn bench_probe_kernels(c: &mut Criterion) {
 /// decoding varint/delta records off a byte stream sustains at least
 /// 80% of `run_refs` on a pre-materialised `Vec<MemRef>`.
 fn bench_trace_streaming(c: &mut Criterion) {
-    use cac_sim::replay::{run_cache_chunked, run_cache_source};
-    use cac_trace::io::{write_trace_binary, BinaryTraceReader, DEFAULT_CHUNK_OPS};
+    use cac_sim::replay::run_cache_source;
+    use cac_trace::io::{write_trace_binary, BinaryTraceReader, OpRefSource, DEFAULT_CHUNK_OPS};
     use cac_trace::TraceOp;
 
     const OPS: u64 = 10_000_000;
@@ -259,8 +259,8 @@ fn bench_trace_streaming(c: &mut Criterion) {
     group.bench_function("binary_stream_ops", |b| {
         let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
         b.iter(|| {
-            let reader = BinaryTraceReader::new(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_chunked(&mut cache, reader, DEFAULT_CHUNK_OPS).unwrap())
+            let reader = OpRefSource::new(BinaryTraceReader::new(black_box(&bytes[..])).unwrap());
+            black_box(run_cache_source(&mut cache, reader).unwrap())
         })
     });
     group.bench_function("binary_decode_only", |b| {

@@ -314,16 +314,19 @@ pub const REGISTRY: &[Experiment] = &[
         group: "trace tools",
         summary: "stream a trace file through a configurable cache",
         params: &[
-            param("trace", "", "trace file (binary or text, auto-detected)"),
+            param(
+                "trace",
+                "",
+                "trace file (binary, columnar or text, auto-detected)",
+            ),
             param("scheme", "ipoly-skew", "placement scheme"),
             param("size", "8192", "cache capacity (bytes)"),
             param("line", "32", "line size (bytes)"),
             param("ways", "2", "associativity"),
-            param("chunk", "8192", "ops per replay chunk"),
             param(
                 "mode",
                 "strict",
-                "strict | lenient (skip damaged binary blocks)",
+                "strict | lenient (skip damaged binary or columnar blocks)",
             ),
         ],
         run: tools::replay,
@@ -331,12 +334,12 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment {
         name: "trace-gen",
         group: "trace tools",
-        summary: "generate a workload-model trace file (binary or text)",
+        summary: "generate a workload-model trace file (binary, columnar or text)",
         params: &[
             param("bench", "swim", "workload model name"),
             param("ops", "1000000", "ops to generate"),
             param("out", "", "output file path (required)"),
-            param("format", "binary", "binary | text"),
+            param("format", "binary", "binary | columnar | text"),
             param("seed", "12345", "generator seed"),
             param(
                 "inject",
@@ -559,7 +562,7 @@ pub const REGISTRY: &[Experiment] = &[
             param(
                 "trace",
                 "",
-                "trace file (binary or text; default: synthetic workload)",
+                "trace file (binary, columnar or text; default: synthetic workload)",
             ),
             param(
                 "bench",

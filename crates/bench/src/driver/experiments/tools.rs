@@ -11,11 +11,11 @@ use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
 use cac_sim::cache::Cache;
-use cac_sim::replay::{run_cache_chunked, run_cache_source};
+use cac_sim::replay::run_cache_source;
 use cac_trace::fault::{FaultSource, FaultSpec};
 use cac_trace::io::{
     open_trace, write_trace, write_trace_columnar, AnyTraceReader, BinaryTraceWriter, ChunkSource,
-    ColumnarTraceWriter, DecodeMode, SkipReport, TraceFormat, DEFAULT_CHUNK_OPS,
+    ColumnarTraceWriter, DecodeMode, TraceFormat, DEFAULT_CHUNK_OPS,
 };
 use cac_trace::OpClass;
 use std::fs::File;
@@ -387,23 +387,14 @@ pub(super) fn replay(a: &ExpArgs) -> Result<Report, DriverError> {
     }
     let scheme = parse_scheme(a.str("scheme"))?;
     let geom = parse_geometry(a)?;
-    let chunk = a.usize("chunk")?;
     let mode = parse_decode_mode(a.str("mode"))?;
     let mut cache = Cache::build(geom, scheme.clone())?;
 
-    let source = open_trace_file(trace, mode)?;
+    let mut source = open_trace_file(trace, mode)?;
     let format = source.format();
     let start = Instant::now();
-    // Binary and columnar traces take the MemRef fast path; text
-    // streams go through the generic chunked op replay.
-    let (stats, skip) = match source {
-        AnyTraceReader::Text(text) => (
-            run_cache_chunked(&mut cache, text, chunk)
-                .map_err(|e| DriverError::Input(e.to_string()))?,
-            SkipReport::default(),
-        ),
-        mut framed => (run_cache_source(&mut cache, &mut framed)?, framed.skipped()),
-    };
+    let stats = run_cache_source(&mut cache, &mut source)?;
+    let skip = source.skipped();
     let elapsed = start.elapsed();
 
     let melem_s = stats.accesses as f64 / elapsed.as_secs_f64() / 1e6;
@@ -430,7 +421,6 @@ pub(super) fn replay(a: &ExpArgs) -> Result<Report, DriverError> {
     .param("size", geom.capacity())
     .param("line", geom.block())
     .param("ways", geom.ways())
-    .param("chunk", chunk)
     .param("mode", a.str("mode"))
     .table(table)
     .note(format!(

@@ -1,4 +1,4 @@
-//! Streaming trace replay: feed any [`ChunkSource`] through the batched
+//! Streaming trace replay: feed any [`RefSource`] through the batched
 //! simulation APIs.
 //!
 //! The batched entry point [`Cache::run_trace`] wants whole traces, but external
@@ -15,7 +15,7 @@
 //! ```
 //! use cac_core::{CacheGeometry, IndexSpec};
 //! use cac_sim::cache::Cache;
-//! use cac_sim::replay::run_cache;
+//! use cac_sim::replay::run_cache_source;
 //! use cac_trace::io::{write_trace_binary, BinaryTraceReader};
 //! use cac_trace::spec::SpecBenchmark;
 //!
@@ -24,7 +24,7 @@
 //!
 //! let geom = CacheGeometry::new(8 * 1024, 32, 2)?;
 //! let mut streamed = Cache::build(geom, IndexSpec::ipoly_skewed())?;
-//! let delta = run_cache(&mut streamed, BinaryTraceReader::new(&bytes[..])?)?;
+//! let delta = run_cache_source(&mut streamed, BinaryTraceReader::new(&bytes[..])?)?;
 //!
 //! let mut in_memory = Cache::build(geom, IndexSpec::ipoly_skewed())?;
 //! assert_eq!(delta, in_memory.run_trace(ops.iter().copied()));
@@ -33,41 +33,7 @@
 
 use crate::cache::Cache;
 use crate::stats::CacheStats;
-use cac_trace::io::{ChunkSource, RefSource, DEFAULT_CHUNK_OPS};
-
-/// Streams a trace through a single-level [`Cache`] in
-/// [`DEFAULT_CHUNK_OPS`]-sized batches; see [`run_cache_chunked`].
-///
-/// # Errors
-///
-/// Propagates the source's decode/read errors. References replayed
-/// before the error remain applied (and counted in [`Cache::stats`]).
-pub fn run_cache<S: ChunkSource>(cache: &mut Cache, source: S) -> Result<CacheStats, S::Error> {
-    run_cache_chunked(cache, source, DEFAULT_CHUNK_OPS)
-}
-
-/// Streams a trace through a single-level [`Cache`], refilling a reused
-/// `chunk_ops`-op buffer from `source` and draining it through
-/// [`Cache::run_trace`]. Returns the counter delta attributable to the
-/// whole stream, exactly as [`Cache::run_trace`] would for the same ops
-/// in memory.
-///
-/// # Errors
-///
-/// Propagates the source's decode/read errors.
-pub fn run_cache_chunked<S: ChunkSource>(
-    cache: &mut Cache,
-    mut source: S,
-    chunk_ops: usize,
-) -> Result<CacheStats, S::Error> {
-    let chunk_ops = chunk_ops.max(1);
-    let mut buf = Vec::with_capacity(chunk_ops);
-    let mut total = CacheStats::default();
-    while source.read_chunk(&mut buf, chunk_ops)? > 0 {
-        total += cache.run_trace(buf.iter().copied());
-    }
-    Ok(total)
-}
+use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
 
 /// Streams any [`RefSource`] — a binary trace reader, a columnar
 /// corpus file — through a single-level [`Cache`] on the
@@ -78,8 +44,9 @@ pub fn run_cache_chunked<S: ChunkSource>(
 /// streaming path inherits the same specialized probe kernels as
 /// in-memory replay.
 ///
-/// Counters are identical to [`run_cache`] on the same stream. This is
-/// the path `cac replay` and the `trace_streaming` benchmark use.
+/// Counters equal [`Cache::run_trace`] over the same ops in memory.
+/// This is the path `cac replay` (every trace format) and the
+/// `trace_streaming` benchmark use.
 ///
 /// # Errors
 ///
@@ -112,7 +79,7 @@ pub fn run_cache_source<S: RefSource>(
 mod tests {
     use super::*;
     use cac_core::{CacheGeometry, IndexSpec};
-    use cac_trace::io::SliceSource;
+    use cac_trace::io::{OpRefSource, SliceSource};
     use cac_trace::spec::SpecBenchmark;
     use cac_trace::TraceOp;
 
@@ -122,14 +89,21 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_do_not_change_results() {
-        let ops: Vec<TraceOp> = SpecBenchmark::Tomcatv.generator(3).take(20_000).collect();
-        let mut reference = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
-        let expect = reference.run_trace(ops.iter().copied());
-        for chunk in [1usize, 7, 1024, 1 << 20] {
+        let ops: Vec<TraceOp> = SpecBenchmark::Tomcatv.generator(3).take(40_000).collect();
+        for len in [
+            1,
+            DEFAULT_CHUNK_OPS - 1,
+            DEFAULT_CHUNK_OPS,
+            DEFAULT_CHUNK_OPS + 1,
+            ops.len(),
+        ] {
+            let mut reference = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
+            let expect = reference.run_trace(ops[..len].iter().copied());
             let mut c = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
-            let got = run_cache_chunked(&mut c, SliceSource::new(&ops), chunk).unwrap();
-            assert_eq!(got, expect, "chunk {chunk}");
-            assert_eq!(c.stats(), reference.stats(), "chunk {chunk}");
+            let source = OpRefSource::new(SliceSource::new(&ops[..len]));
+            let got = run_cache_source(&mut c, source).unwrap();
+            assert_eq!(got, expect, "{len} ops");
+            assert_eq!(c.stats(), reference.stats(), "{len} ops");
         }
     }
 
@@ -139,7 +113,8 @@ mod tests {
         let ops: Vec<TraceOp> = SpecBenchmark::Swim.generator(11).take(30_000).collect();
         let bytes = write_trace_binary(Vec::new(), ops.iter().copied()).unwrap();
         let mut via_ops = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
-        let a = run_cache(&mut via_ops, BinaryTraceReader::new(&bytes[..]).unwrap()).unwrap();
+        let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
+        let a = run_cache_source(&mut via_ops, OpRefSource::new(reader)).unwrap();
         let mut via_refs = Cache::build(geom(), IndexSpec::ipoly_skewed()).unwrap();
         let mut reader = BinaryTraceReader::new(&bytes[..]).unwrap();
         let b = run_cache_source(&mut via_refs, &mut reader).unwrap();
@@ -150,7 +125,7 @@ mod tests {
     #[test]
     fn empty_source_is_a_no_op() {
         let mut c = Cache::build(geom(), IndexSpec::modulo()).unwrap();
-        let delta = run_cache(&mut c, SliceSource::new(&[])).unwrap();
+        let delta = run_cache_source(&mut c, OpRefSource::new(SliceSource::new(&[]))).unwrap();
         assert_eq!(delta, CacheStats::default());
         assert_eq!(c.stats().accesses, 0);
     }

@@ -127,27 +127,24 @@ fn batched_replay_matches_per_op_loop_on_spec_models() {
 
 #[test]
 fn binary_streaming_replay_is_byte_identical_to_in_memory() {
-    use cac_sim::replay::run_cache_chunked;
+    use cac_sim::replay::run_cache_source;
     use cac_trace::io::{write_trace_binary, BinaryTraceReader};
 
     for bench in [SpecBenchmark::Tomcatv, SpecBenchmark::Gcc] {
         let ops: Vec<_> = bench.generator(13).take(50_000).collect();
         let bytes = write_trace_binary(Vec::new(), ops.iter().copied()).unwrap();
 
-        // Single-level cache: identical counters AND identical contents,
-        // regardless of the chunk size the stream is fed in.
+        // Single-level cache: identical counters AND identical contents.
         let mut reference = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
         let expect = reference.run_trace(ops.iter().copied());
-        for chunk in [1usize, 777, 1 << 15] {
-            let mut streamed = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
-            let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
-            let got = run_cache_chunked(&mut streamed, reader, chunk).unwrap();
-            assert_eq!(got, expect, "{} chunk {chunk}", bench.name());
-            let mut ra: Vec<u64> = reference.resident_blocks().collect();
-            let mut rb: Vec<u64> = streamed.resident_blocks().collect();
-            ra.sort_unstable();
-            rb.sort_unstable();
-            assert_eq!(ra, rb, "{} contents diverge at chunk {chunk}", bench.name());
-        }
+        let mut streamed = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
+        let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
+        let got = run_cache_source(&mut streamed, reader).unwrap();
+        assert_eq!(got, expect, "{}", bench.name());
+        let mut ra: Vec<u64> = reference.resident_blocks().collect();
+        let mut rb: Vec<u64> = streamed.resident_blocks().collect();
+        ra.sort_unstable();
+        rb.sort_unstable();
+        assert_eq!(ra, rb, "{} contents diverge", bench.name());
     }
 }

@@ -94,7 +94,7 @@ use std::io::{Read, Seek, SeekFrom};
 /// This is the glue between trace storage and the simulators' batched
 /// replay loops: implementors refill a reusable buffer (no per-op
 /// allocation, no per-op `Result`), and consumers like
-/// `cac_sim::replay::run_cache` drain it through `Cache::run_trace`.
+/// [`OpRefSource`] drain it through `cac_sim::replay::run_cache_source`.
 ///
 /// Implementations are provided for the framed readers
 /// ([`FramedReader`]), the text reader ([`ReadTrace`]), any trace file

@@ -66,81 +66,6 @@ fn stride_sweep(
     })
 }
 
-/// Checkpoint-aware variant of [`stride_sweep`]: strides run
-/// sequentially, each (stride, scheme) cell's stats are journaled, and
-/// a resumed run replays only the missing cells. Deterministic replay
-/// makes the resumed output byte-identical to an uninterrupted run.
-fn stride_sweep_checkpointed(
-    geom: CacheGeometry,
-    schemes: &[IndexSpec],
-    max_stride: u64,
-    passes: u64,
-    checkpoint: &str,
-) -> Result<Vec<Vec<f64>>, DriverError> {
-    let fp = fingerprint(&[
-        "cac sweep",
-        &schemes
-            .iter()
-            .map(IndexSpec::name)
-            .collect::<Vec<_>>()
-            .join(","),
-        &geom.to_string(),
-        &max_stride.to_string(),
-        &passes.to_string(),
-    ]);
-    let path = Path::new(checkpoint);
-    let mut journal = Journal::load(path, fp).map_err(|e| DriverError::Input(e.to_string()))?;
-
-    let mut models: Vec<Box<dyn MemoryModel>> = schemes
-        .iter()
-        .map(|spec| {
-            Box::new(Cache::build(geom, spec.clone()).expect("validated scheme"))
-                as Box<dyn MemoryModel>
-        })
-        .collect();
-    let engine = Sweep::new().workers(1);
-    let mut refs: Vec<MemRef> = Vec::new();
-    let mut out = Vec::with_capacity((max_stride - 1) as usize);
-    let mut dirty = 0u64;
-    for stride in 1..max_stride {
-        let keys: Vec<String> = schemes
-            .iter()
-            .map(|s| format!("s{stride}/{}", s.name()))
-            .collect();
-        let cached: Option<Vec<f64>> = keys
-            .iter()
-            .map(|k| journal.get(k).map(|s| s.demand.miss_ratio()))
-            .collect();
-        if let Some(ratios) = cached {
-            out.push(ratios);
-            continue;
-        }
-        refs.clear();
-        refs.extend(VectorStride::paper_figure1(stride, passes));
-        for m in models.iter_mut() {
-            m.reset();
-        }
-        let stats = engine.run_refs(&mut models, &refs);
-        for (key, s) in keys.iter().zip(&stats) {
-            journal.record(key, s);
-        }
-        dirty += 1;
-        // Amortize the rewrite: a kill loses at most 64 strides.
-        if dirty.is_multiple_of(64) {
-            journal
-                .save(path)
-                .map_err(|e| DriverError::Input(e.to_string()))?;
-        }
-        out.push(stats.iter().map(|s| s.demand.miss_ratio()).collect());
-    }
-    if dirty > 0 {
-        journal
-            .save(path)
-            .map_err(|e| DriverError::Input(e.to_string()))?;
-    }
-    Ok(out)
-}
-
 /// A labelled placement-scheme constructor.
 type Scheme = (&'static str, fn() -> IndexSpec);
 
@@ -244,27 +169,28 @@ enum SweepCell {
     Pruned(f64),
 }
 
-/// Analytic screening variant of [`stride_sweep`]: per stride, one
+/// The sequential sweep behind `--checkpoint` and `--prune`: strides
+/// run one after another, and with `band` set, per stride, one
 /// stack-distance pass predicts every scheme's miss ratio (exactly for
 /// modulus placement, via the binomial birthday model for hashed
 /// placement), cells predicted worse than the stride's best by more
-/// than `band` are skipped, and only the survivors replay. Survivor
-/// cells are byte-identical to the unpruned sweep's (same engine, same
+/// than `band` are skipped, and only the survivors replay. Simulated
+/// cells are byte-identical to [`stride_sweep`]'s (same engine, same
 /// trace, same reset discipline).
 ///
 /// With `checkpoint` set, every cell — simulated or pruned — lands in
 /// the crash-safe journal (pruned cells via the shared
 /// `analytic-pruned`/`predicted-bits` extras convention), and a resumed
 /// run restores a stride only when all of its scheme cells are present.
-/// The journal's fingerprint folds in the prune mode and band, so a
-/// pruned journal can never silently continue a full sweep or a sweep
+/// A screened journal's fingerprint folds in the prune mode and band,
+/// so it can never silently continue an unscreened sweep or a sweep
 /// with a different band.
-fn stride_sweep_pruned(
+fn stride_sweep_sequential(
     geom: CacheGeometry,
     schemes: &[IndexSpec],
     max_stride: u64,
     passes: u64,
-    band: f64,
+    band: Option<f64>,
     checkpoint: Option<&str>,
 ) -> Result<Vec<Vec<SweepCell>>, DriverError> {
     use cac_corpus::{pruned_stats, PRUNED_FLAG, PRUNED_PREDICTED};
@@ -273,20 +199,19 @@ fn stride_sweep_pruned(
 
     let mut journal = match checkpoint {
         Some(path) => {
-            let fp = fingerprint(&[
-                "cac sweep",
-                &schemes
-                    .iter()
-                    .map(IndexSpec::name)
-                    .collect::<Vec<_>>()
-                    .join(","),
-                &geom.to_string(),
-                &max_stride.to_string(),
-                &passes.to_string(),
-                "prune=analytic",
-                &format!("band={band}"),
-            ]);
-            let j = Journal::load(Path::new(path), fp)
+            let names = schemes
+                .iter()
+                .map(IndexSpec::name)
+                .collect::<Vec<_>>()
+                .join(",");
+            let (geom, max_stride, passes) =
+                (geom.to_string(), max_stride.to_string(), passes.to_string());
+            let mut parts = vec!["cac sweep", &names, &geom, &max_stride, &passes];
+            let band_part = band.map(|b| format!("band={b}"));
+            if let Some(b) = &band_part {
+                parts.extend(["prune=analytic", b]);
+            }
+            let j = Journal::load(Path::new(path), fingerprint(&parts))
                 .map_err(|e| DriverError::Input(e.to_string()))?;
             Some((j, Path::new(path)))
         }
@@ -328,31 +253,36 @@ fn stride_sweep_pruned(
         }
         refs.clear();
         refs.extend(VectorStride::paper_figure1(stride, passes));
-        // One stack-distance pass covers both the exact modulus curve
-        // and the fully-associative histogram the hashed-placement
-        // model needs (the Figure-1 stride traces are read-only, so the
-        // stack counts are exact).
-        let mut stack =
-            LruStackSweep::new(geom.block(), &[1, geom.num_sets()]).map_err(DriverError::from)?;
-        for r in &refs {
-            stack.observe(r.addr);
-        }
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-        let predicted: Vec<f64> = schemes
-            .iter()
-            .map(|s| {
-                if s.name() == "modulo" {
-                    stack
-                        .miss_ratio(geom.num_sets(), geom.ways())
-                        .expect("configured set count")
-                } else {
-                    model
-                        .predict(geom.num_sets(), geom.ways())
-                        .expect("refs observed")
+        let (keep, predicted) = match band {
+            None => (vec![true; schemes.len()], vec![0.0; schemes.len()]),
+            Some(band) => {
+                // One stack-distance pass covers both the exact modulus
+                // curve and the fully-associative histogram the
+                // hashed-placement model needs (the Figure-1 stride
+                // traces are read-only, so the stack counts are exact).
+                let mut stack = LruStackSweep::new(geom.block(), &[1, geom.num_sets()])
+                    .map_err(DriverError::from)?;
+                for r in &refs {
+                    stack.observe(r.addr);
                 }
-            })
-            .collect();
-        let keep = prune_dominated(&predicted, band);
+                let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
+                let predicted: Vec<f64> = schemes
+                    .iter()
+                    .map(|s| {
+                        if s.name() == "modulo" {
+                            stack
+                                .miss_ratio(geom.num_sets(), geom.ways())
+                                .expect("configured set count")
+                        } else {
+                            model
+                                .predict(geom.num_sets(), geom.ways())
+                                .expect("refs observed")
+                        }
+                    })
+                    .collect();
+                (prune_dominated(&predicted, band), predicted)
+            }
+        };
         let mut row = Vec::with_capacity(schemes.len());
         for (i, (&kept, &p)) in keep.iter().zip(&predicted).enumerate() {
             if kept {
@@ -418,28 +348,18 @@ pub(super) fn sweep(a: &ExpArgs) -> Result<Report, DriverError> {
     }
 
     // As in fig1: one trace generation and one pass per stride, caches
-    // built once per block. With --checkpoint the strides run
-    // sequentially against a crash-safe journal instead; with --prune
-    // the analytic tier screens cells before any replay. The two
-    // compose: a pruned checkpointed sweep journals pruned cells
-    // alongside simulated ones and resumes either kind.
-    let cells: Vec<Vec<SweepCell>> = if prune {
-        let checkpoint = a.is_set("checkpoint").then(|| a.str("checkpoint"));
-        stride_sweep_pruned(
-            geom,
-            &schemes,
-            max_stride,
-            passes,
-            band_pct / 100.0,
-            checkpoint,
-        )?
+    // built once per block. With --checkpoint or --prune the strides run
+    // sequentially instead, against a crash-safe journal and behind the
+    // analytic screen respectively. The two compose: a pruned
+    // checkpointed sweep journals pruned cells alongside simulated ones
+    // and resumes either kind.
+    let checkpoint = a.is_set("checkpoint").then(|| a.str("checkpoint"));
+    let cells: Vec<Vec<SweepCell>> = if prune || checkpoint.is_some() {
+        let band = prune.then_some(band_pct / 100.0);
+        stride_sweep_sequential(geom, &schemes, max_stride, passes, band, checkpoint)?
     } else {
-        let raw = if a.is_set("checkpoint") {
-            stride_sweep_checkpointed(geom, &schemes, max_stride, passes, a.str("checkpoint"))?
-        } else {
-            stride_sweep(geom, &schemes, max_stride, passes)
-        };
-        raw.into_iter()
+        stride_sweep(geom, &schemes, max_stride, passes)
+            .into_iter()
             .map(|row| row.into_iter().map(SweepCell::Simulated).collect())
             .collect()
     };

@@ -32,12 +32,15 @@
 //!   intrusive LRU/FIFO list — instead of scanning every way, with
 //!   behaviour (including the random-replacement RNG stream)
 //!   byte-identical to the scan it replaces.
-//! * **Specialized probe kernels.** [`Cache::run_refs`] and
-//!   [`Cache::run_refs_slice`] dispatch once per chunk to monomorphized
-//!   kernels for ways ∈ {1, 2, 4} × replacement policy (direct-mapped
-//!   probes compile to a single load/compare) that accumulate counters
-//!   in registers; other shapes fall back to the generic loop with
-//!   identical counters.
+//! * **One probe-and-fill body.** Every replay path runs
+//!   [`Cache::probe_fill`], generic over the shape: unrolled for 1, 2
+//!   and 4 ways (direct-mapped probes compile to a single
+//!   load/compare), a scan for any other way count, and the one-set
+//!   engine. The replacement policy is read at run time. It adds hits
+//!   and misses to caller-owned counts: [`Cache::access`] folds them at
+//!   once, [`Cache::run_refs_slice`] once per chunk, and the
+//!   [`crate::stack::Hierarchy`] kernel keeps its level 0's counts in
+//!   registers across a chunk.
 
 use crate::assoc::AssocIndex;
 use crate::model::{AccessOutcome, MemoryModel, ModelStats, ServicePoint};
@@ -412,8 +415,8 @@ impl Cache {
         let write_back = self.write_policy == WritePolicy::WriteBackAllocate;
         let mut sets = [0u32; UNROLLED_WAYS];
         let hit = self.probe_ways::<WAYS>(block, &mut sets);
-        k.count(is_write, hit.is_some());
         if let Some((way, slot)) = hit {
+            k.count(is_write, true);
             if self.selector.policy() == ReplacementPolicy::Lru {
                 if WAYS == ASSOC_WAYS {
                     // The engine's list is the recency order; nothing
@@ -435,6 +438,7 @@ impl Cache {
                 filled: false,
             };
         }
+        k.count(is_write, false);
         if is_write && !write_back {
             return Access::miss(); // no-write-allocate
         }
@@ -484,10 +488,7 @@ impl Cache {
     /// freed slots are reused lowest-first, so every random victim
     /// matches the scan's. Stamps are unique (one line is stamped per
     /// tick), so the first minimum in way order is the minimum.
-    ///
-    /// Kept out of line: inlined, it made the direct-mapped and 2-way
-    /// kernels about a quarter slower.
-    #[inline(never)]
+    #[inline]
     fn fill<const WAYS: usize>(
         &mut self,
         block: u64,
@@ -675,9 +676,7 @@ impl Cache {
     }
 
     /// The chunk kernel: [`Cache::probe_fill`] per reference, its counts
-    /// kept in registers and folded once. One function per shape, so
-    /// that each kernel's registers are allocated on their own.
-    #[inline(never)]
+    /// kept in registers and folded once.
     fn run_kernel<const WAYS: usize>(&mut self, refs: &[MemRef]) {
         let mut k = KernelCounts::default();
         for r in refs {

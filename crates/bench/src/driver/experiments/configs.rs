@@ -2,8 +2,8 @@
 //!
 //! `cac run --config <file.toml>` is the universal experiment: build
 //! *any* cache organization from a [`SimConfig`] description and replay
-//! *any* trace against it — an on-disk trace file (binary or text,
-//! auto-detected) or a synthetic workload model. Every §2.1/§4
+//! *any* trace against it — an on-disk trace file (binary, columnar or
+//! text, auto-detected) or a synthetic workload model. Every §2.1/§4
 //! organization of the paper's comparison matrix ships as a config
 //! under `examples/*.toml`; `cac config validate` keeps those files
 //! building (CI runs it, so a shipped config can never rot).

@@ -22,10 +22,10 @@
 //!   stamp the configured policy actually consults — last-touch time
 //!   for LRU, fill time for FIFO). An access touches two arrays, not
 //!   four.
-//! * **Slot-precise probes.** [`Cache::probe_slot`] yields `(way, set)`,
-//!   and victim selection folds the winning `(way, set)` out of its
-//!   single scan, so the hit path and the fill path never recompute an
-//!   index a probe already derived.
+//! * **Slot-precise probes.** Probes yield the way and its storage
+//!   slot, and victim selection folds the winning way and slot out of
+//!   its single scan; on the unrolled shapes the fill reuses the sets
+//!   the probe derived.
 //! * **O(1) fully-associative engine.** When the geometry degenerates
 //!   to one set, probes and victim selection run through
 //!   [`crate::assoc::AssocIndex`] — an open-addressing tag map plus an
@@ -33,7 +33,7 @@
 //!   behaviour (including the random-replacement RNG stream)
 //!   byte-identical to the scan it replaces.
 //! * **One probe-and-fill body.** Every replay path runs
-//!   [`Cache::probe_fill`], generic over the shape: unrolled for 1, 2
+//!   `Cache::probe_fill`, generic over the shape: unrolled for 1, 2
 //!   and 4 ways (direct-mapped probes compile to a single
 //!   load/compare), a scan for any other way count, and the one-set
 //!   engine. The replacement policy is read at run time. It adds hits
@@ -365,7 +365,7 @@ impl Cache {
     /// Performs an access; `is_write` selects the write path of the
     /// configured [`WritePolicy`].
     ///
-    /// Runs [`Cache::probe_fill`] for the cache's shape and folds its
+    /// Runs `Cache::probe_fill` for the cache's shape and folds its
     /// counts into [`Cache::stats`] at once.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Access {
         let mut k = KernelCounts::default();
@@ -469,7 +469,9 @@ impl Cache {
         for w in 0..ways {
             let set = self.table.set_index(block, w as u32);
             if WAYS != ANY_WAYS {
-                sets[w] = set;
+                if let Some(s) = sets.get_mut(w) {
+                    *s = set;
+                }
             }
             let slot = w * self.sets + set as usize;
             if self.tags[slot] == block {
@@ -515,10 +517,9 @@ impl Cache {
             let mut invalid = None;
             let mut oldest = (u64::MAX, 0, 0);
             for w in 0..ways {
-                let set = if WAYS == ANY_WAYS {
-                    self.table.set_index(block, w as u32)
-                } else {
-                    sets[w]
+                let set = match sets.get(w) {
+                    Some(&set) if WAYS != ANY_WAYS => set,
+                    _ => self.table.set_index(block, w as u32),
                 };
                 let slot = w * self.sets + set as usize;
                 if self.tags[slot] == INVALID_TAG {
@@ -535,10 +536,9 @@ impl Cache {
                 None => {
                     let (w, slot) = if random {
                         let w = self.selector.pick_random(ways);
-                        let set = if WAYS == ANY_WAYS {
-                            self.table.set_index(block, w as u32)
-                        } else {
-                            sets[w]
+                        let set = match sets.get(w) {
+                            Some(&set) if WAYS != ANY_WAYS => set,
+                            _ => self.table.set_index(block, w as u32),
                         };
                         (w, w * self.sets + set as usize)
                     } else {
@@ -656,7 +656,7 @@ impl Cache {
     /// [`Cache::access`] loop would produce.
     ///
     /// This is the kernel entry point: the slice is dispatched **once**
-    /// on the cache's shape to [`Cache::probe_fill`], and the counts are
+    /// on the cache's shape to `Cache::probe_fill`, and the counts are
     /// folded once at its end.
     pub fn run_refs_slice(&mut self, refs: &[MemRef]) -> CacheStats {
         let before = self.stats;

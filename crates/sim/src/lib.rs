@@ -65,20 +65,21 @@
 //! * one-set (fully-associative) geometries — the paper's reference
 //!   curve, maximal TLBs — probe and pick victims in O(1) through
 //!   [`assoc::AssocIndex`] instead of scanning every way;
-//! * batched replay dispatches each chunk to a probe kernel
-//!   monomorphized for the cache's shape (ways ∈ {1, 2, 4} ×
-//!   replacement policy, plus the fully-associative engine); a
-//!   [`stack::Hierarchy`] dispatches on its level 0's way count and
-//!   walks the deeper levels and sidecars only when level 0 does not
-//!   read-hit;
+//! * one probe-and-fill body, generic over the cache's shape (1, 2 or 4
+//!   ways unrolled, any other way count, the fully-associative engine),
+//!   serves per-access calls, the chunk kernels, a [`stack::Hierarchy`]'s
+//!   level 0 and the [`tlb::Tlb`]; batched replay dispatches once per
+//!   chunk and folds counters once, and a hierarchy walks the deeper
+//!   levels and sidecars only when level 0 does not read-hit;
 //! * whole traces replay through the batched APIs
 //!   ([`cache::Cache::run_trace`], [`model::MemoryModel::run_refs`]),
 //!   which return per-trace counter deltas that are byte-identical
 //!   to an equivalent per-op loop (`crates/sim/tests/replay_equivalence.rs`
 //!   holds the guards);
 //! * on-disk traces stream through [`replay`], which refills a reused
-//!   chunk buffer from any `cac_trace::io::ChunkSource` (binary or text
-//!   reader) and drains it through the same batched path, so external
+//!   chunk buffer from any `cac_trace::io::RefSource` (a binary,
+//!   columnar or text reader) and drains it through the same batched
+//!   path, so external
 //!   traces larger than memory replay at in-memory speed;
 //! * multi-configuration sweeps run through [`sweep`]: the reference
 //!   stream is decoded/generated **once** and broadcast to every model

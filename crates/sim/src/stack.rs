@@ -64,11 +64,12 @@
 //! # Replay
 //!
 //! [`MemoryModel::run_refs`] is a chunk kernel: it dispatches once per
-//! chunk on level 0's way count and probes level 0 with the
-//! monomorphized [`Cache`] body; only a reference that does not
-//! read-hit there walks the deeper levels and the sidecars.
-//! [`Hierarchy::access`] runs the same per-reference step, so the two
-//! paths agree by construction.
+//! chunk on level 0's shape, probes level 0 with the probe-and-fill
+//! body every [`Cache`] path shares, and keeps level 0's hit and miss
+//! counts in registers until the chunk ends; only a reference that does
+//! not read-hit there walks the deeper levels and the sidecars.
+//! [`Hierarchy::access`] finishes each reference through the same step,
+//! so the two paths agree by construction.
 //!
 //! The sidecars allocate and hash nothing per reference. A victim
 //! buffer is an insertion-ordered `Vec` probed by a linear scan (the

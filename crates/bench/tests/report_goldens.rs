@@ -112,19 +112,7 @@ fn lru_curve_report_matches_its_golden() {
 #[test]
 fn analytic_validate_report_matches_its_golden() {
     enter_repo_root();
-    let mut configs: Vec<String> = std::fs::read_dir("examples")
-        .expect("examples directory")
-        .map(|e| {
-            e.expect("readable entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|n| n.ends_with(".toml"))
-        .map(|n| format!("examples/{n}"))
-        .collect();
-    configs.sort();
-    assert_eq!(configs.len(), 14, "expected the 14 shipped configs");
+    let configs = example_configs();
     let args: Vec<&str> = configs.iter().map(String::as_str).collect();
     assert_matches_golden("analytic-validate", &args, "report_analytic_validate.json");
 }
@@ -301,4 +289,97 @@ fn text_trace_replay_report_matches_its_golden() {
     assert!(json.ends_with("]}"), "replay: notes are not the last field");
     let got = format!("{}}}", &json[..notes]);
     assert_json_matches(&got, "replay", &args, "report_replay_text.json");
+}
+
+/// The shipped configs, sorted, as paths relative to the repository
+/// root.
+fn example_configs() -> Vec<String> {
+    let mut configs: Vec<String> = std::fs::read_dir("examples")
+        .expect("examples directory")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".toml"))
+        .map(|n| format!("examples/{n}"))
+        .collect();
+    configs.sort();
+    assert_eq!(configs.len(), 14, "expected the 14 shipped configs");
+    configs
+}
+
+/// A fresh corpus of swim and tomcatv (50k ops each) at a fixed path
+/// under `target/report-goldens/`, so each run is cold and the report's
+/// `dir` parameter is stable.
+fn fresh_corpus(name: &str) -> String {
+    let dir = "target/report-goldens";
+    std::fs::create_dir_all(dir).expect("golden input directory");
+    let corpus = format!("{dir}/{name}");
+    std::fs::remove_dir_all(&corpus).ok();
+    for bench in ["swim", "tomcatv"] {
+        let trace = format!("{dir}/{name}_{bench}.trace");
+        render_json(
+            "trace-gen",
+            &["--bench", bench, "--ops", "50000", "--out", &trace],
+        );
+        render_json(
+            "corpus-add",
+            &["--dir", &corpus, "--name", bench, "--input", &trace],
+        );
+    }
+    corpus
+}
+
+/// `corpus run` behind the analytic screen and under a cell budget,
+/// cold, over the 14 shipped configs: the screen's predictions and
+/// the degraded estimates. The budget of 1000 references degrades
+/// every cell. Without `fully_assoc` (one set) the degrade pass
+/// samples sets, so the second budget report carries standard errors.
+#[test]
+fn corpus_run_reports_match_their_goldens() {
+    enter_repo_root();
+    let configs = example_configs();
+    let sampled: Vec<String> = configs
+        .iter()
+        .filter(|c| !c.ends_with("fully_assoc.toml"))
+        .cloned()
+        .collect();
+    for (name, configs, extra, golden) in [
+        (
+            "corpus_pruned",
+            &configs,
+            &["--prune", "analytic"][..],
+            "report_corpus_run_pruned.json",
+        ),
+        (
+            "corpus_degraded",
+            &configs,
+            &["--cell-budget", "1000refs"][..],
+            "report_corpus_run_degraded.json",
+        ),
+        (
+            "corpus_degraded_sampled",
+            &sampled,
+            &["--cell-budget", "1000refs"][..],
+            "report_corpus_run_degraded_sampled.json",
+        ),
+    ] {
+        let corpus = fresh_corpus(name);
+        let mut args = vec!["--dir", corpus.as_str(), "--explain", "true"];
+        args.extend_from_slice(extra);
+        args.extend(configs.iter().map(String::as_str));
+        assert_matches_golden("corpus-run", &args, golden);
+    }
+}
+
+/// The closed-form grid and birthday bounds of `analytic predict`.
+#[test]
+fn analytic_predict_report_matches_its_golden() {
+    assert_matches_golden(
+        "analytic-predict",
+        &["--ops", "100000"],
+        "report_analytic_predict.json",
+    );
 }

@@ -120,7 +120,8 @@ pub fn block_checksum(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Error produced while reading a binary trace.
+/// Error produced while reading a binary (v1/v2) or columnar (v3)
+/// trace. Its messages name no format: both readers report through it.
 #[derive(Debug)]
 pub enum BinaryTraceError {
     /// Underlying I/O failure.
@@ -151,12 +152,15 @@ pub enum BinaryTraceError {
 impl fmt::Display for BinaryTraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BinaryTraceError::Io(e) => write!(f, "binary trace read failed: {e}"),
+            BinaryTraceError::Io(e) => write!(f, "trace read failed: {e}"),
             BinaryTraceError::BadMagic => {
-                write!(f, "not a binary trace (bad magic; expected `CACT`)")
+                write!(f, "not a cac trace (bad magic; expected `CACT`)")
             }
             BinaryTraceError::UnsupportedVersion(v) => {
-                write!(f, "unsupported binary trace version {v} (supported: 1-2)")
+                write!(
+                    f,
+                    "unsupported trace version {v} (binary reads 1-2, columnar reads 3)"
+                )
             }
             BinaryTraceError::Truncated {
                 ops_decoded,
@@ -164,14 +168,11 @@ impl fmt::Display for BinaryTraceError {
             } => {
                 write!(
                     f,
-                    "binary trace truncated at byte {offset} after {ops_decoded} complete records"
+                    "trace truncated at byte {offset} after {ops_decoded} complete records"
                 )
             }
             BinaryTraceError::Corrupt { op, offset, reason } => {
-                write!(
-                    f,
-                    "corrupt binary trace at byte {offset} (record {op}): {reason}"
-                )
+                write!(f, "corrupt trace at byte {offset} (record {op}): {reason}")
             }
         }
     }

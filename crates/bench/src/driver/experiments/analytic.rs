@@ -12,78 +12,20 @@
 //! exceeds the documented bound — the same equivalence-suite pattern
 //! that protects every other fast path in this repo.
 
-use super::common::parse_benchmark;
+use super::common::{format_size, parse_benchmark, parse_csv};
 use super::tools::open_trace_file;
 use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
-use cac_core::{parse_size, CacheGeometry};
-use cac_sim::analytic::{birthday_collision_probability, expected_overflow_blocks, AnalyticModel};
+use cac_core::{parse_size, CacheGeometry, IndexSpec};
+use cac_sim::analytic::{
+    birthday_collision_probability, expected_overflow_blocks, AnalyticModel, Pricer, SetSampling,
+};
 use cac_sim::sweep::LruStackSweep;
 use cac_sim::SimConfig;
 use cac_trace::io::{DecodeMode, RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::kernels::mem_refs;
 use cac_trace::MemRef;
-
-/// Streams the workload's **loads** into a stack sweep: the trace file
-/// when `trace` is set, the synthetic benchmark otherwise. Loads only,
-/// matching `cac lru-curve` — a read-only stream keeps the
-/// stack-distance counts exact for the paper's write-through L1.
-fn observe_loads(a: &ExpArgs, sweep: &mut LruStackSweep) -> Result<(), DriverError> {
-    if a.is_set("trace") {
-        let mut source = open_trace_file(a.str("trace"), DecodeMode::Strict)?;
-        let mut buf: Vec<MemRef> = Vec::with_capacity(DEFAULT_CHUNK_OPS);
-        while source.read_ref_chunk(&mut buf, DEFAULT_CHUNK_OPS)? > 0 {
-            for r in &buf {
-                if !r.is_write {
-                    sweep.observe(r.addr);
-                }
-            }
-        }
-    } else {
-        let b = parse_benchmark(a.str("bench"))?;
-        let ops = a.usize("ops")?;
-        for r in mem_refs(b.generator(5).take(ops)) {
-            if !r.is_write {
-                sweep.observe(r.addr);
-            }
-        }
-    }
-    if sweep.refs_seen() == 0 {
-        return Err(DriverError::Input("the workload contains no loads".into()));
-    }
-    Ok(())
-}
-
-/// Parses a comma-separated list with an element parser, mapping
-/// failures to usage errors.
-fn parse_csv<T>(
-    csv: &str,
-    what: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Vec<T>, DriverError> {
-    let items: Vec<T> = csv
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).ok_or_else(|| DriverError::Usage(format!("invalid {what} value {s:?}"))))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(DriverError::Usage(format!("no {what} values given")));
-    }
-    Ok(items)
-}
-
-/// Renders a byte size with binary-unit suffixes for table labels.
-fn format_size(bytes: u64) -> String {
-    if bytes >= 1 << 20 && bytes.is_multiple_of(1 << 20) {
-        format!("{}MiB", bytes >> 20)
-    } else if bytes >= 1 << 10 && bytes.is_multiple_of(1 << 10) {
-        format!("{}KiB", bytes >> 10)
-    } else {
-        format!("{bytes}B")
-    }
-}
 
 /// A report-ready "set sampling" table (k, refs, worst-case standard
 /// error) so sampling caveats reach JSON/CSV consumers, not just the
@@ -112,7 +54,7 @@ pub(super) fn predict(a: &ExpArgs) -> Result<Report, DriverError> {
     // One fully-associative stack-distance traversal feeds every
     // prediction below.
     let mut sweep = LruStackSweep::new(line, &[1])?;
-    observe_loads(a, &mut sweep)?;
+    sweep.run_refs(&collect_loads(a)?);
     let model = AnalyticModel::from_sweep(&sweep).expect("1-set family configured");
     let footprint = model.footprint_blocks();
 
@@ -195,8 +137,10 @@ fn geometry(size: u64, line: u64, ways: u32) -> Option<CacheGeometry> {
     CacheGeometry::new(size, line, ways).ok()
 }
 
-/// Materializes the workload's loads for validate, which needs the same
-/// stream twice (stack sweeps and model replay).
+/// The workload's **loads**: the trace file when `trace` is set, the
+/// synthetic benchmark otherwise. Loads only, matching `cac lru-curve`
+/// — a read-only stream keeps the stack-distance counts exact for the
+/// paper's write-through L1.
 fn collect_loads(a: &ExpArgs) -> Result<Vec<MemRef>, DriverError> {
     let mut loads: Vec<MemRef> = Vec::new();
     if a.is_set("trace") {
@@ -247,7 +191,7 @@ pub(super) fn validate(a: &ExpArgs) -> Result<Report, DriverError> {
 
     // Load every config up front; configs without a cache array (the
     // poison fixture) cannot be predicted and are a usage error.
-    let mut configs: Vec<(String, SimConfig, CacheGeometry, cac_core::IndexSpec)> = Vec::new();
+    let mut configs: Vec<(String, SimConfig, CacheGeometry, IndexSpec)> = Vec::new();
     for path in &paths {
         let cfg = SimConfig::load(path).map_err(|e| DriverError::Input(e.to_string()))?;
         let geometry = cfg.primary_geometry().ok_or_else(|| {
@@ -286,65 +230,37 @@ pub(super) fn validate(a: &ExpArgs) -> Result<Report, DriverError> {
         .map(|s| s.demand.miss_ratio() * 100.0)
         .collect();
 
-    // Predictions: one stack-distance traversal per distinct line size
-    // covers the fully-associative histogram (the binomial model's
-    // input) and the exact Mattson curves (the modulus estimator).
-    let mut lines: Vec<u64> = configs.iter().map(|(_, _, g, _)| g.block()).collect();
-    lines.sort_unstable();
-    lines.dedup();
-    let mut validated: Vec<ValidatedConfig> = Vec::new();
-    let mut sampling: Option<Table> = None;
-    let mut effective_bound = bound_pct;
-    for &line in &lines {
-        let mut set_counts: Vec<u32> = vec![1];
-        set_counts.extend(
-            configs
-                .iter()
-                .filter(|(_, _, g, _)| g.block() == line)
-                .map(|(_, _, g, _)| g.num_sets()),
-        );
-        let mut sweep = LruStackSweep::new(line, &set_counts)?;
-        if sample > 1 {
-            sweep = sweep.with_set_sampling(sample)?;
-        }
-        for r in &loads {
-            sweep.observe(r.addr);
-        }
-        if let Some(se) = sweep.sampling_standard_error() {
-            // Sampling noise affects the predictions themselves; widen
-            // the acceptance bound by the worst-case standard error.
-            effective_bound = effective_bound.max(bound_pct + se * 100.0);
-            if sampling.is_none() {
-                sampling = sampling_table(&sweep);
-            }
-        }
-        let model = AnalyticModel::from_sweep(&sweep).expect("1-set family configured");
-        for (i, (label, _, g, index)) in configs.iter().enumerate() {
-            if g.block() != line {
-                continue;
-            }
-            // Modulus placement: the exact Mattson curve (stack
-            // inclusion) IS the analytic estimator. Hashed placement:
-            // the binomial birthday model.
-            let predicted = if index.name() == "modulo" {
-                sweep
-                    .miss_ratio(g.num_sets(), g.ways())
-                    .expect("configured set count")
-            } else {
-                model
-                    .predict(g.num_sets(), g.ways())
-                    .expect("refs observed")
-            };
-            validated.push(ValidatedConfig {
-                label: label.clone(),
-                geometry: *g,
-                scheme: index.name().to_owned(),
-                predicted: predicted * 100.0,
-                primary: primary_sim[i],
-                organization: organization_sim[i],
-            });
-        }
-    }
+    // Predictions: the analytic pricer over every config's primary
+    // cache.
+    let targets: Vec<(CacheGeometry, IndexSpec)> = configs
+        .iter()
+        .map(|(_, _, g, index)| (*g, index.clone()))
+        .collect();
+    let mut pricer = Pricer::new(&targets, SetSampling::Exact(sample.max(1)))?;
+    pricer.run_refs(&loads);
+    let prices = pricer.prices();
+    // Sampling noise affects the predictions themselves; widen the
+    // acceptance bound by the worst-case standard error.
+    let effective_bound = prices
+        .iter()
+        .map(|p| bound_pct + p.se * 100.0)
+        .fold(bound_pct, f64::max);
+    let sampling = pricer.groups().iter().find_map(sampling_table);
+    let mut validated: Vec<ValidatedConfig> = configs
+        .iter()
+        .zip(&prices)
+        .enumerate()
+        .map(|(i, ((label, _, g, index), price))| ValidatedConfig {
+            label: label.clone(),
+            geometry: *g,
+            scheme: index.name().to_owned(),
+            predicted: price.estimate.expect("refs observed") * 100.0,
+            primary: primary_sim[i],
+            organization: organization_sim[i],
+        })
+        .collect();
+    // Rows run by line size, one stack pass per size.
+    validated.sort_by_key(|v| v.geometry.block());
 
     let mut per_config = Table::new(
         "model vs simulation",

@@ -8,7 +8,7 @@
 //! organizations by load miss ratio, as §2.1 and the related-work
 //! discussion of the paper do.
 
-use super::common::{paper_l1, parse_benchmark};
+use super::common::{format_size, paper_l1, parse_benchmark, parse_csv, scheme_caches};
 use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
@@ -304,20 +304,11 @@ pub(super) fn related_work(a: &ExpArgs) -> Result<Report, DriverError> {
             "spec good%",
         ],
     );
-    let build_suite = |suite: &[IndexSpec]| -> Vec<Box<dyn MemoryModel>> {
-        suite
-            .iter()
-            .map(|s| {
-                Box::new(Cache::build(geom, s.clone()).expect("cache")) as Box<dyn MemoryModel>
-            })
-            .collect()
-    };
-
     // Part 1: Figure-1 stride sweep — one trace per stride, every
     // scheme of the suite in one pass (parallel across stride blocks,
     // caches built once per block and reset between strides).
     let per_stride: Vec<Vec<f64>> = par_map_blocked(1..max_stride, |block| {
-        let mut models = build_suite(&suite);
+        let mut models = scheme_caches(geom, &suite);
         let engine = Sweep::new().workers(1);
         let mut refs: Vec<MemRef> = Vec::new();
         block
@@ -342,7 +333,7 @@ pub(super) fn related_work(a: &ExpArgs) -> Result<Report, DriverError> {
     let benches = SpecBenchmark::all();
     let per_bench: Vec<Vec<f64>> = par_map(&benches, |&b| {
         let refs: Vec<MemRef> = mem_refs(b.generator(5).take(ops)).collect();
-        let mut models = build_suite(&suite);
+        let mut models = scheme_caches(geom, &suite);
         load_miss_pcts(&mut models, &refs)
     });
 
@@ -448,25 +439,6 @@ pub(super) fn tiling(a: &ExpArgs) -> Result<Report, DriverError> {
     ))
 }
 
-/// Parses a comma-separated list with an element parser, mapping
-/// failures to usage errors.
-fn parse_csv<T>(
-    csv: &str,
-    what: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Vec<T>, DriverError> {
-    let items: Vec<T> = csv
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).ok_or_else(|| DriverError::Usage(format!("invalid {what} value {s:?}"))))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(DriverError::Usage(format!("no {what} values given")));
-    }
-    Ok(items)
-}
-
 pub(super) fn lru_curve(a: &ExpArgs) -> Result<Report, DriverError> {
     let b = parse_benchmark(a.str("bench"))?;
     let ops = a.usize("ops")?;
@@ -557,17 +529,6 @@ pub(super) fn lru_curve(a: &ExpArgs) -> Result<Report, DriverError> {
         report = report.note(note);
     }
     Ok(report)
-}
-
-/// Renders a byte size with binary-unit suffixes for table labels.
-fn format_size(bytes: u64) -> String {
-    if bytes >= 1 << 20 && bytes.is_multiple_of(1 << 20) {
-        format!("{}MiB", bytes >> 20)
-    } else if bytes >= 1 << 10 && bytes.is_multiple_of(1 << 10) {
-        format!("{}KiB", bytes >> 10)
-    } else {
-        format!("{bytes}B")
-    }
 }
 
 fn region(addr: u64) -> &'static str {

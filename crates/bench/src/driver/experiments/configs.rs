@@ -240,7 +240,7 @@ fn run_grid(a: &ExpArgs, paths: &[String]) -> Result<Report, DriverError> {
         // recomputes while untouched siblings restore from the journal.
         let key = match std::fs::read(path) {
             Ok(bytes) => {
-                let hex: String = format!("{:016x}", fingerprint_bytes(&bytes));
+                let hex: String = format!("{:016x}", cac_corpus::content_hash(&bytes));
                 format!("{path}@{hex}")
             }
             Err(e) => {
@@ -332,16 +332,6 @@ fn run_grid(a: &ExpArgs, paths: &[String]) -> Result<Report, DriverError> {
         ));
     }
     Ok(report)
-}
-
-/// FNV-1a over raw bytes, for config-content cell keys.
-fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 pub(super) fn validate(a: &ExpArgs) -> Result<Report, DriverError> {

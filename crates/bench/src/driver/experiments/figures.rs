@@ -12,16 +12,14 @@
 //! * `a2-Hp-Sk` (skewed I-Poly) exhibits no significant conflicts on
 //!   any stride.
 
-use super::common::{paper_l1, parse_schemes};
+use super::common::{paper_l1, parse_schemes, scheme_caches};
 use crate::chart::grouped;
 use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
 use crate::parallel::par_map_blocked;
 use cac_core::{CacheGeometry, IndexSpec};
-use cac_sim::cache::Cache;
 use cac_sim::journal::{fingerprint, Journal};
-use cac_sim::model::MemoryModel;
 use cac_sim::sweep::Sweep;
 use cac_trace::stride::VectorStride;
 use cac_trace::MemRef;
@@ -40,13 +38,7 @@ fn stride_sweep(
     passes: u64,
 ) -> Vec<Vec<f64>> {
     par_map_blocked(1..max_stride, |block| {
-        let mut models: Vec<Box<dyn MemoryModel>> = schemes
-            .iter()
-            .map(|spec| {
-                Box::new(Cache::build(geom, spec.clone()).expect("validated scheme"))
-                    as Box<dyn MemoryModel>
-            })
-            .collect();
+        let mut models = scheme_caches(geom, schemes);
         let engine = Sweep::new().workers(1);
         let mut refs: Vec<MemRef> = Vec::new();
         block
@@ -194,8 +186,7 @@ fn stride_sweep_sequential(
     checkpoint: Option<&str>,
 ) -> Result<Vec<Vec<SweepCell>>, DriverError> {
     use cac_corpus::{pruned_stats, PRUNED_FLAG, PRUNED_PREDICTED};
-    use cac_sim::analytic::{prune_dominated, AnalyticModel};
-    use cac_sim::sweep::LruStackSweep;
+    use cac_sim::analytic::{prune_dominated, Pricer, SetSampling};
 
     let mut journal = match checkpoint {
         Some(path) => {
@@ -225,13 +216,9 @@ fn stride_sweep_sequential(
         }
     };
 
-    let mut models: Vec<Box<dyn MemoryModel>> = schemes
-        .iter()
-        .map(|spec| {
-            Box::new(Cache::build(geom, spec.clone()).expect("validated scheme"))
-                as Box<dyn MemoryModel>
-        })
-        .collect();
+    let mut models = scheme_caches(geom, schemes);
+    let targets: Vec<(CacheGeometry, IndexSpec)> =
+        schemes.iter().map(|s| (geom, s.clone())).collect();
     let engine = Sweep::new().workers(1);
     let mut refs: Vec<MemRef> = Vec::new();
     let mut out = Vec::with_capacity((max_stride - 1) as usize);
@@ -254,32 +241,15 @@ fn stride_sweep_sequential(
         refs.clear();
         refs.extend(VectorStride::paper_figure1(stride, passes));
         let (keep, predicted) = match band {
-            None => (vec![true; schemes.len()], vec![0.0; schemes.len()]),
+            None => (vec![true; schemes.len()], vec![None; schemes.len()]),
             Some(band) => {
-                // One stack-distance pass covers both the exact modulus
-                // curve and the fully-associative histogram the
-                // hashed-placement model needs (the Figure-1 stride
-                // traces are read-only, so the stack counts are exact).
-                let mut stack = LruStackSweep::new(geom.block(), &[1, geom.num_sets()])
-                    .map_err(DriverError::from)?;
-                for r in &refs {
-                    stack.observe(r.addr);
-                }
-                let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-                let predicted: Vec<f64> = schemes
-                    .iter()
-                    .map(|s| {
-                        if s.name() == "modulo" {
-                            stack
-                                .miss_ratio(geom.num_sets(), geom.ways())
-                                .expect("configured set count")
-                        } else {
-                            model
-                                .predict(geom.num_sets(), geom.ways())
-                                .expect("refs observed")
-                        }
-                    })
-                    .collect();
+                // The Figure-1 stride traces are read-only, so the stack
+                // counts are exact.
+                let mut pricer =
+                    Pricer::new(&targets, SetSampling::Exact(1)).map_err(DriverError::from)?;
+                pricer.run_refs(&refs);
+                let predicted: Vec<Option<f64>> =
+                    pricer.prices().iter().map(|p| p.estimate).collect();
                 (prune_dominated(&predicted, band), predicted)
             }
         };
@@ -294,6 +264,7 @@ fn stride_sweep_sequential(
                 }
                 row.push(SweepCell::Simulated(stats[0].demand.miss_ratio()));
             } else {
+                let p = p.expect("pruned implies predicted");
                 if let Some((j, _)) = &mut journal {
                     j.record(&keys[i], &pruned_stats(p));
                 }

@@ -111,46 +111,6 @@ pub fn run_all(ops: u64, seed: u64) -> Vec<Table2Row> {
         .collect()
 }
 
-/// Prints one formatted row (measured over paper reference).
-pub fn print_row(r: &Table2Row) {
-    let p = r.bench.paper_row();
-    println!(
-        "{:<9} {:>5.2} {:>6.2} | {:>5.2} {:>5.2} {:>6.2} | {:>5.2} {:>6.2} | {:>5.2} {:>5.2}",
-        r.bench.name(),
-        r.conv16_ipc,
-        r.conv16_miss,
-        r.conv8_ipc,
-        r.conv8_ipc_pred,
-        r.conv8_miss,
-        r.ipoly_ipc,
-        r.ipoly_miss,
-        r.ipoly_cp_ipc,
-        r.ipoly_cp_ipc_pred,
-    );
-    println!(
-        "{:<9} {:>5.2} {:>6.2} | {:>5.2} {:>5.2} {:>6.2} | {:>5.2} {:>6.2} | {:>5.2} {:>5.2}",
-        "  (paper)",
-        p.conv16_ipc,
-        p.conv16_miss,
-        p.conv8_ipc,
-        p.conv8_ipc_pred,
-        p.conv8_miss,
-        p.ipoly_ipc,
-        p.ipoly_miss,
-        p.ipoly_cp_ipc,
-        p.ipoly_cp_ipc_pred,
-    );
-}
-
-/// Prints the table header.
-pub fn print_header(title: &str) {
-    println!("{title}");
-    println!(
-        "{:<9} {:>5} {:>6} | {:>5} {:>5} {:>6} | {:>5} {:>6} | {:>5} {:>5}",
-        "bench", "16K", "miss", "8K", "8K+p", "miss", "Hp", "miss", "HpCP", "+pred"
-    );
-}
-
 /// Summary statistics over a set of rows.
 #[derive(Debug, Clone, Copy)]
 pub struct Summary {
@@ -194,21 +154,4 @@ pub fn summarize(rows: &[&Table2Row]) -> Summary {
         ipoly_cp_ipc: g(|r| r.ipoly_cp_ipc),
         ipoly_cp_ipc_pred: g(|r| r.ipoly_cp_ipc_pred),
     }
-}
-
-/// Prints a summary line.
-pub fn print_summary(label: &str, s: &Summary) {
-    println!(
-        "{:<9} {:>5.2} {:>6.2} | {:>5.2} {:>5.2} {:>6.2} | {:>5.2} {:>6.2} | {:>5.2} {:>5.2}",
-        label,
-        s.conv16_ipc,
-        s.conv16_miss,
-        s.conv8_ipc,
-        s.conv8_ipc_pred,
-        s.conv8_miss,
-        s.ipoly_ipc,
-        s.ipoly_miss,
-        s.ipoly_cp_ipc,
-        s.ipoly_cp_ipc_pred,
-    );
 }

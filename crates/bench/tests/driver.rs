@@ -192,3 +192,32 @@ fn interleave_rejects_zero_stride() {
     let got = driver::run_experiment("interleave", &words(&["--max-stride", "0"]));
     assert!(matches!(got, Err(DriverError::Usage(_))), "{got:?}");
 }
+
+/// `analytic validate --sample K` takes K as given and refuses one the
+/// stack pass cannot honour: a K that is not a power of two, or one
+/// above the smallest multi-set count (64 sets, in `four_way`).
+#[test]
+fn analytic_validate_rejects_an_unusable_sampling_factor() {
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let configs = [
+        format!("{examples}/two_way.toml"),
+        format!("{examples}/four_way.toml"),
+        format!("{examples}/fully_assoc.toml"),
+    ];
+    let run = |sample: &str| {
+        let mut args = vec!["--ops", "20000", "--sample", sample];
+        args.extend(configs.iter().map(String::as_str));
+        driver::run_experiment("analytic-validate", &words(&args))
+    };
+    for (sample, why) in [
+        ("3", "must be a power of two"),
+        ("128", "exceeds the smallest multi-set count 64"),
+    ] {
+        match run(sample) {
+            Err(DriverError::Failed(msg)) => assert!(msg.contains(why), "--sample {sample}: {msg}"),
+            got => panic!("--sample {sample} should be refused, got {got:?}"),
+        }
+    }
+    let report = run("64").expect("--sample 64 fits every config");
+    assert!(report.tables.iter().any(|t| t.name == "set sampling"));
+}

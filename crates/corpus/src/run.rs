@@ -13,9 +13,9 @@
 //! configs need it — all pending models ride the same
 //! [`Sweep::run_source_isolated`] pass over the columnar stream.
 //!
-//! With [`RunOptions::prune`] set, an analytic screen runs first: one
-//! LRU stack-distance pass per (trace, line-size) group predicts every
-//! config's miss ratio, and configs predicted worse than the trace's
+//! With [`RunOptions::prune`] set, an analytic screen runs first: the
+//! analytic [`Pricer`] predicts every config's miss ratio from one
+//! decode of the trace, and configs predicted worse than the trace's
 //! best by more than [`RunOptions::prune_band`] are recorded as pruned
 //! cells — never built, never replayed. Pruned cells persist in the
 //! journal (with the prediction embedded), so a pruned rerun is as
@@ -41,7 +41,7 @@
 //!   restores from the journal with zero replays.
 //! * With a [`CellBudget`], a record-count watchdog inside the sweep
 //!   cancels an over-budget trace pass; cancelled cells are re-priced
-//!   through the analytic tier with 1-in-K set sampling and journaled
+//!   through the same [`Pricer`] with 1-in-K set sampling and journaled
 //!   as **DEGRADED** cells carrying the estimate and its standard
 //!   error.
 //! * A [`ChaosPlan`] (the `cac corpus chaos` harness) wraps trace
@@ -69,16 +69,15 @@ use crate::manifest::QuarantineEntry;
 use crate::store::Corpus;
 use crate::supervisor::{classify, CellBudget, ChaosPlan, RetryPolicy};
 use crate::{content_hash, CorpusError};
-use cac_core::CacheGeometry;
-use cac_sim::analytic::{prune_dominated, AnalyticModel};
+use cac_core::{CacheGeometry, IndexSpec};
+use cac_sim::analytic::{prune_dominated, Price, Pricer, SetSampling};
 use cac_sim::config::SimConfig;
 use cac_sim::journal::{fingerprint, Journal};
 use cac_sim::model::ModelStats;
-use cac_sim::sweep::{LruStackSweep, ModelOutcome, Sweep};
+use cac_sim::sweep::{ModelOutcome, Sweep};
 use cac_trace::fault::{FaultSource, FaultSpec};
 use cac_trace::io::commitfs::{CommitFs, DiskFs};
 use cac_trace::io::{ColumnarTraceReader, DecodeMode, FailureClass, SkipReport, DEFAULT_CHUNK_OPS};
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -453,69 +452,47 @@ struct AttemptResult {
     screened: bool,
 }
 
-/// Prices `members` through the analytic tier from one trace.
-///
-/// Configs are grouped by primary line size; each group shares one LRU
-/// stack pass over the trace, sampled 1-in-K with K the largest power
-/// of two within both `max_sampling` and the group's smallest set count
-/// (so every config keeps sampled sets). Modulo-indexed configs use the
-/// stack sweep's exact set-conflict ratio; hashed/skewed indexes use the
-/// analytic conflict model (hashing decorrelates sets from address
-/// bits, which is precisely that model's assumption).
-///
-/// Returns `(config, estimate, standard error)` for every member with a
-/// primary cache, in line-size order; the standard error is 0 for an
-/// unsampled pass. Members without a primary cache are left out.
-fn analytic_pass(
-    trace_path: &Path,
-    configs: &[ConfigColumn],
-    members: impl IntoIterator<Item = usize>,
-    max_sampling: u32,
-    fault: Option<&FaultSpec>,
-    skipped: &mut SkipReport,
-) -> Result<Vec<(usize, Option<f64>, f64)>, CorpusError> {
-    let mut by_line: BTreeMap<u64, Vec<(usize, CacheGeometry)>> = BTreeMap::new();
-    for j in members {
-        if let Some(geom) = configs[j].cfg.primary_geometry() {
-            by_line.entry(geom.block()).or_default().push((j, geom));
-        }
-    }
-    let mut priced = Vec::new();
-    for (line, group) in &by_line {
-        let mut set_counts: Vec<u32> = vec![1];
-        let mut min_sets = u32::MAX;
-        for (_, geom) in group {
-            min_sets = min_sets.min(geom.num_sets());
-            if !set_counts.contains(&geom.num_sets()) {
-                set_counts.push(geom.num_sets());
-            }
-        }
-        let k = 1u32 << min_sets.min(max_sampling).ilog2();
-        let mut stack = LruStackSweep::new(*line, &set_counts)?.with_set_sampling(k)?;
-        let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
-        stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
-        merge_skips(skipped, reader.skipped());
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-        let se = stack.sampling_standard_error().unwrap_or(0.0);
-        for &(j, geom) in group {
-            let modulo = configs[j]
-                .cfg
-                .primary_index()
-                .is_some_and(|s| s.name() == "modulo");
-            let estimate = if modulo {
-                stack.miss_ratio(geom.num_sets(), geom.ways())
-            } else {
-                model.predict(geom.num_sets(), geom.ways())
-            };
-            priced.push((j, estimate, se));
-        }
-    }
-    Ok(priced)
+/// The cache the analytic tier prices for a config: its primary cache
+/// (geometry and placement), or `None` for a config without one.
+fn analytic_target(cfg: &SimConfig) -> Option<(CacheGeometry, IndexSpec)> {
+    Some((cfg.primary_geometry()?, cfg.primary_index()?))
 }
 
-/// Runs the analytic screen for one trace: predicted miss ratio per
-/// config (`None` where the config has no primary cache to predict
-/// for), then the dominated-config mask.
+/// Prices `members` through the analytic [`Pricer`] from one decode of
+/// the trace. Returns one entry per member, in order: `None` for a
+/// member without a primary cache. No trace is opened when no member
+/// has one.
+fn price_members(
+    trace_path: &Path,
+    configs: &[ConfigColumn],
+    members: &[usize],
+    sampling: SetSampling,
+    fault: Option<&FaultSpec>,
+    skipped: &mut SkipReport,
+) -> Result<Vec<Option<Price>>, CorpusError> {
+    let targets: Vec<Option<(CacheGeometry, IndexSpec)>> = members
+        .iter()
+        .map(|&j| analytic_target(&configs[j].cfg))
+        .collect();
+    let priceable: Vec<(CacheGeometry, IndexSpec)> = targets.iter().flatten().cloned().collect();
+    if priceable.is_empty() {
+        return Ok(vec![None; members.len()]);
+    }
+    let mut pricer = Pricer::new(&priceable, sampling)?;
+    let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
+    pricer.run_source(&mut reader).map_err(CorpusError::Trace)?;
+    merge_skips(skipped, reader.skipped());
+    let mut prices = pricer.prices().into_iter();
+    Ok(targets
+        .iter()
+        .map(|t| t.as_ref().and_then(|_| prices.next()))
+        .collect())
+}
+
+/// Runs the analytic screen for one trace: the exact (unsampled)
+/// predicted miss ratio per config (`None` where the config has no
+/// primary cache to predict for), then the keep mask. Unpriced configs
+/// are always kept.
 fn screen_trace(
     trace_path: &Path,
     configs: &[ConfigColumn],
@@ -523,23 +500,20 @@ fn screen_trace(
     fault: Option<&FaultSpec>,
     skipped: &mut SkipReport,
 ) -> Result<(Vec<Option<f64>>, Vec<bool>), CorpusError> {
-    let mut predicted: Vec<Option<f64>> = vec![None; configs.len()];
-    for (j, p, _) in analytic_pass(trace_path, configs, 0..configs.len(), 1, fault, skipped)? {
-        predicted[j] = p;
-    }
-    // Dominance is judged over the predictable subset only; configs the
-    // screen cannot model are always kept.
-    let known: Vec<(usize, f64)> = predicted
-        .iter()
-        .enumerate()
-        .filter_map(|(j, p)| p.map(|p| (j, p)))
-        .collect();
-    let keep = prune_dominated(&known.iter().map(|&(_, p)| p).collect::<Vec<_>>(), band);
-    let mut pruned = vec![false; configs.len()];
-    for (&(j, _), &keep) in known.iter().zip(&keep) {
-        pruned[j] = !keep;
-    }
-    Ok((predicted, pruned))
+    let all: Vec<usize> = (0..configs.len()).collect();
+    let predicted: Vec<Option<f64>> = price_members(
+        trace_path,
+        configs,
+        &all,
+        SetSampling::UpTo(1),
+        fault,
+        skipped,
+    )?
+    .into_iter()
+    .map(|p| p.and_then(|p| p.estimate))
+    .collect();
+    let keep = prune_dominated(&predicted, band);
+    Ok((predicted, keep))
 }
 
 /// Re-prices budget-cancelled configs through the analytic tier with
@@ -553,34 +527,30 @@ fn degrade_cells(
     skipped: &mut SkipReport,
     out: &mut Vec<(usize, PendingOutcome)>,
 ) -> Result<(), CorpusError> {
-    for &j in cancelled {
-        if configs[j].cfg.primary_geometry().is_none() {
-            out.push((
-                j,
-                PendingOutcome::Failed {
-                    reason: "over budget and no primary cache to estimate for".into(),
-                    class: FailureClass::Permanent,
-                },
-            ));
-        }
-    }
-    let priced = analytic_pass(
+    let prices = price_members(
         trace_path,
         configs,
-        cancelled.iter().copied(),
-        8,
+        cancelled,
+        SetSampling::UpTo(8),
         fault,
         skipped,
     )?;
-    for (j, estimate, se) in priced {
+    for (&j, price) in cancelled.iter().zip(prices) {
+        let failed = |reason: &str| PendingOutcome::Failed {
+            reason: reason.into(),
+            class: FailureClass::Permanent,
+        };
         out.push((
             j,
-            match estimate {
-                Some(estimate) => PendingOutcome::Degraded { estimate, se },
-                None => PendingOutcome::Failed {
-                    reason: "over budget and not analytically priceable".into(),
-                    class: FailureClass::Permanent,
-                },
+            match price {
+                None => failed("over budget and no primary cache to estimate for"),
+                Some(Price {
+                    estimate: Some(estimate),
+                    se,
+                }) => PendingOutcome::Degraded { estimate, se },
+                Some(Price { estimate: None, .. }) => {
+                    failed("over budget and not analytically priceable")
+                }
             },
         ));
     }
@@ -629,7 +599,7 @@ fn attempt_trace(
     let mut to_replay: Vec<usize> = Vec::new();
     for &j in pending {
         match &screen {
-            Some((predicted, pruned)) if pruned[j] => {
+            Some((predicted, keep)) if !keep[j] => {
                 let p = predicted[j].expect("pruned implies predicted");
                 outcomes.push((j, PendingOutcome::Pruned(p)));
             }

@@ -24,7 +24,13 @@
 //!   — standalone footprint-parameterized collision bounds: how likely
 //!   a conflict is at all, and how many blocks of an `m`-block
 //!   footprint a `(sets, ways)` cache is expected to spill.
-//! * [`prune_dominated`] — the dominance screen used by
+//! * [`Pricer`] — the one place a configuration's cache (geometry ×
+//!   placement) is priced: one stack pass per line size, the exact
+//!   curve for modulus placement and [`AnalyticModel`] for the rest,
+//!   optionally set-sampled with a standard error. The corpus screen
+//!   and cell-budget degrade, `cac sweep --prune` and `cac analytic
+//!   validate` all price through it.
+//! * [`prune_dominated`] — the dominance screen of `corpus run` and
 //!   `cac sweep --prune analytic`: given predicted miss ratios for the
 //!   configurations of one workload, keep only those within a stated
 //!   error band of the best prediction; the rest can be skipped without
@@ -61,6 +67,9 @@
 //! ```
 
 use crate::sweep::LruStackSweep;
+use cac_core::{CacheGeometry, Error, IndexSpec};
+use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
+use cac_trace::MemRef;
 
 /// A recorded stack-distance histogram for one set count: the raw
 /// material of every analytic curve in this module.
@@ -235,11 +244,6 @@ impl AnalyticModel {
         sweep.histogram(1).map(AnalyticModel::from_histogram)
     }
 
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &StackHistogram {
-        &self.hist
-    }
-
     /// The workload footprint in blocks (distinct blocks observed).
     pub fn footprint_blocks(&self) -> u64 {
         self.hist.footprint_blocks()
@@ -263,6 +267,141 @@ impl AnalyticModel {
     }
 }
 
+/// How a [`Pricer`] samples sets in each line-size group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetSampling {
+    /// 1-in-K in every group, as given (1 = exact). Rejected unless K is
+    /// a power of two within every group's smallest multi-set count
+    /// ([`LruStackSweep::with_set_sampling`]).
+    Exact(u32),
+    /// Per group, the largest power of two within both this cap (at
+    /// least 1) and the group's smallest set count, so every target
+    /// keeps sampled sets and a group with a one-set target runs exact.
+    UpTo(u32),
+}
+
+/// The price of one [`Pricer`] target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Price {
+    /// The estimated miss ratio, or `None` before any reference was
+    /// observed.
+    pub estimate: Option<f64>,
+    /// Worst-case binomial standard error of the estimate: 0 when its
+    /// group ran exact.
+    pub se: f64,
+}
+
+/// The analytic tier's one pricer: the miss ratio of each target cache
+/// (geometry × placement) from one stack pass per line size.
+///
+/// Targets are grouped by line size. Each group runs one
+/// [`LruStackSweep`] over set counts `{1}` ∪ its targets' set counts.
+/// A modulus-placed target ([`IndexSpec::Modulo`]) is priced by that
+/// sweep's exact Mattson curve; any other placement by
+/// [`AnalyticModel::predict`] over the group's fully-associative
+/// histogram. The corpus screen and cell-budget degrade, `cac sweep
+/// --prune` and `cac analytic validate` all price through it.
+#[derive(Debug, Clone)]
+pub struct Pricer {
+    /// One stack pass per distinct line size, ascending.
+    groups: Vec<LruStackSweep>,
+    /// Each target's geometry, and whether its placement is modulus
+    /// (priced off the exact curve).
+    targets: Vec<(CacheGeometry, bool)>,
+}
+
+impl Pricer {
+    /// A pricer for `targets`, sampled as `sampling` says.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] for a line size or set count the stack pass
+    /// cannot model (not a power of two) and for an
+    /// [`SetSampling::Exact`] factor some group rejects.
+    pub fn new(
+        targets: &[(CacheGeometry, IndexSpec)],
+        sampling: SetSampling,
+    ) -> Result<Self, Error> {
+        let mut lines: Vec<u64> = targets.iter().map(|(g, _)| g.block()).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let groups = lines
+            .iter()
+            .map(|&line| {
+                let sets: Vec<u32> = targets
+                    .iter()
+                    .filter(|(g, _)| g.block() == line)
+                    .map(|(g, _)| g.num_sets())
+                    .collect();
+                let k = match sampling {
+                    SetSampling::Exact(k) => k,
+                    SetSampling::UpTo(cap) => {
+                        let min_sets = sets.iter().copied().min().unwrap_or(1);
+                        1 << cap.min(min_sets).ilog2()
+                    }
+                };
+                LruStackSweep::new(line, &[&[1], &sets[..]].concat())?.with_set_sampling(k)
+            })
+            .collect::<Result<_, Error>>()?;
+        let targets = targets
+            .iter()
+            .map(|(g, index)| (*g, matches!(index, IndexSpec::Modulo)))
+            .collect();
+        Ok(Pricer { groups, targets })
+    }
+
+    /// Observes every reference of a slice in every group.
+    pub fn run_refs(&mut self, refs: &[MemRef]) {
+        for group in &mut self.groups {
+            group.run_refs(refs);
+        }
+    }
+
+    /// Streams a [`RefSource`] through every group: one decode, each
+    /// chunk observed by each group in turn.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the source's decode/read errors.
+    pub fn run_source<S: RefSource>(&mut self, mut source: S) -> Result<(), S::Error> {
+        let mut buf = Vec::with_capacity(DEFAULT_CHUNK_OPS);
+        while source.read_ref_chunk(&mut buf, DEFAULT_CHUNK_OPS)? > 0 {
+            self.run_refs(&buf);
+        }
+        Ok(())
+    }
+
+    /// The stack pass of each line-size group, ascending by line size.
+    pub fn groups(&self) -> &[LruStackSweep] {
+        &self.groups
+    }
+
+    /// One price per target, in target order.
+    pub fn prices(&self) -> Vec<Price> {
+        let models: Vec<AnalyticModel> = self
+            .groups
+            .iter()
+            .map(|g| AnalyticModel::from_sweep(g).expect("1-set family configured"))
+            .collect();
+        self.targets
+            .iter()
+            .map(|&(g, exact)| {
+                let i = self.groups.iter().position(|s| s.line() == g.block());
+                let i = i.expect("grouped line size");
+                let (sets, ways) = (g.num_sets(), g.ways());
+                Price {
+                    estimate: if exact {
+                        self.groups[i].miss_ratio(sets, ways)
+                    } else {
+                        models[i].predict(sets, ways)
+                    },
+                    se: self.groups[i].sampling_standard_error().unwrap_or(0.0),
+                }
+            })
+            .collect()
+    }
+}
+
 /// The dominance screen: given the predicted miss ratios of every
 /// configuration of one workload, returns a keep-flag per
 /// configuration. A configuration survives iff its prediction is within
@@ -272,17 +411,18 @@ impl AnalyticModel {
 ///
 /// Sound whenever the predictor's absolute error is below `band / 2`
 /// for every configuration: a pruned configuration's true miss ratio
-/// then cannot beat the true best survivor. Non-finite predictions are
-/// never pruned (no evidence to screen on).
-pub fn prune_dominated(predicted: &[f64], band: f64) -> Vec<bool> {
+/// then cannot beat the true best survivor. Unpriced (`None`) and
+/// non-finite predictions are never pruned (no evidence to screen on).
+pub fn prune_dominated(predicted: &[Option<f64>], band: f64) -> Vec<bool> {
     let best = predicted
         .iter()
+        .flatten()
         .copied()
         .filter(|p| p.is_finite())
         .fold(f64::INFINITY, f64::min);
     predicted
         .iter()
-        .map(|&p| !p.is_finite() || best.is_infinite() || p <= best + band)
+        .map(|p| p.is_none_or(|p| !p.is_finite() || best.is_infinite() || p <= best + band))
         .collect()
 }
 
@@ -393,16 +533,99 @@ mod tests {
         assert!(empty.predict(4, 1).is_none());
     }
 
+    /// Targets at two line sizes, modulus and hashed, under a sampling
+    /// cap each group clamps differently (32-byte lines: K = 8; 64-byte
+    /// lines, whose smallest target has 4 sets: K = 4). Every price is
+    /// bit-equal to a standalone stack pass and model per group.
+    #[test]
+    fn pricer_matches_a_standalone_pass_per_line_size() {
+        use cac_trace::kernels::mem_refs;
+        use cac_trace::spec::SpecBenchmark;
+
+        let geom = |size, line, ways| CacheGeometry::new(size, line, ways).unwrap();
+        let targets = [
+            (geom(8192, 32, 2), IndexSpec::modulo()),
+            (geom(2048, 64, 8), IndexSpec::ipoly()),
+            (geom(8192, 32, 2), IndexSpec::ipoly_skewed()),
+            (geom(1024, 32, 1), IndexSpec::modulo()),
+            (geom(16384, 64, 4), IndexSpec::xor_skewed()),
+            (geom(2048, 64, 8), IndexSpec::modulo()),
+        ];
+        let refs: Vec<MemRef> =
+            mem_refs(SpecBenchmark::Tomcatv.generator(5).take(60_000)).collect();
+        let mut pricer = Pricer::new(&targets, SetSampling::UpTo(8)).unwrap();
+        pricer.run_refs(&refs);
+        let prices = pricer.prices();
+        assert_eq!(prices.len(), targets.len());
+        assert_eq!(
+            pricer
+                .groups()
+                .iter()
+                .map(LruStackSweep::sampling)
+                .collect::<Vec<_>>(),
+            vec![8, 4]
+        );
+
+        for (line, k) in [(32u64, 8u32), (64, 4)] {
+            let members: Vec<usize> = (0..targets.len())
+                .filter(|&i| targets[i].0.block() == line)
+                .collect();
+            let mut sets = vec![1];
+            sets.extend(members.iter().map(|&i| targets[i].0.num_sets()));
+            let mut stack = LruStackSweep::new(line, &sets)
+                .unwrap()
+                .with_set_sampling(k)
+                .unwrap();
+            for r in &refs {
+                stack.observe(r.addr);
+            }
+            let model = AnalyticModel::from_sweep(&stack).unwrap();
+            let se = stack.sampling_standard_error().unwrap();
+            for i in members {
+                let (g, index) = &targets[i];
+                let want = if *index == IndexSpec::modulo() {
+                    stack.miss_ratio(g.num_sets(), g.ways())
+                } else {
+                    model.predict(g.num_sets(), g.ways())
+                };
+                assert_eq!(
+                    prices[i].estimate.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "target {i}"
+                );
+                assert_eq!(prices[i].se.to_bits(), se.to_bits(), "target {i}");
+            }
+        }
+
+        // Exact sampling takes K as given: within every group's
+        // smallest multi-set count, or rejected.
+        assert!(Pricer::new(&targets, SetSampling::Exact(4)).is_ok());
+        assert!(Pricer::new(&targets, SetSampling::Exact(8)).is_err());
+        assert!(Pricer::new(&targets, SetSampling::Exact(3)).is_err());
+        // A one-set target keeps its group exact under a cap.
+        let fa = [(geom(8192, 32, 256), IndexSpec::modulo())];
+        let pricer = Pricer::new(&fa, SetSampling::UpTo(8)).unwrap();
+        assert_eq!(pricer.groups()[0].sampling(), 1);
+    }
+
     #[test]
     fn pruning_keeps_the_band_and_never_the_dominated() {
-        let keep = prune_dominated(&[0.10, 0.12, 0.30, 0.101], 0.05);
+        let keep = prune_dominated(&[Some(0.10), Some(0.12), Some(0.30), Some(0.101)], 0.05);
         assert_eq!(keep, vec![true, true, false, true]);
-        // Ties all survive; NaN is never pruned.
-        assert_eq!(prune_dominated(&[0.2, 0.2], 0.0), vec![true, true]);
+        // Ties all survive; NaN and unpriced targets are never pruned.
         assert_eq!(
-            prune_dominated(&[f64::NAN, 0.5], 0.1),
+            prune_dominated(&[Some(0.2), Some(0.2)], 0.0),
+            vec![true, true]
+        );
+        assert_eq!(
+            prune_dominated(&[Some(f64::NAN), Some(0.5)], 0.1),
             vec![true, true],
             "non-finite predictions must survive"
+        );
+        assert_eq!(
+            prune_dominated(&[None, Some(0.5), Some(0.1)], 0.1),
+            vec![true, false, true],
+            "unpriced targets must survive without setting the best"
         );
         assert!(prune_dominated(&[], 0.1).is_empty());
     }

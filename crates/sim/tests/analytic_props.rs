@@ -104,7 +104,8 @@ proptest! {
         // the band from integer strategies instead.
         let predicted: Vec<f64> = raw.iter().map(|&v| v as f64 / 10_000.0).collect();
         let band = band_mils as f64 / 1_000.0;
-        let keep = prune_dominated(&predicted, band);
+        let priced: Vec<Option<f64>> = predicted.iter().copied().map(Some).collect();
+        let keep = prune_dominated(&priced, band);
         prop_assert_eq!(keep.len(), predicted.len());
         let best = predicted.iter().copied().fold(f64::INFINITY, f64::min);
         for (i, (&p, &k)) in predicted.iter().zip(&keep).enumerate() {

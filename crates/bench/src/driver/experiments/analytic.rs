@@ -236,6 +236,7 @@ pub(super) fn validate(a: &ExpArgs) -> Result<Report, DriverError> {
         .iter()
         .map(|(_, _, g, index)| (*g, index.clone()))
         .collect();
+    // `--sample 0` and `--sample 1` both mean exact.
     let mut pricer = Pricer::new(&targets, SetSampling::Exact(sample.max(1)))?;
     pricer.run_refs(&loads);
     let prices = pricer.prices();
